@@ -1,18 +1,22 @@
-// Micro-benchmarks of the substrates: the ADMM QP solver, LDLT, Reeds-Shepp
-// word search, hybrid A*, the BEV rasterizer and the conv forward pass.
-// These quantify where a CO frame's milliseconds go.
+// Micro-benchmarks of the substrates: the ADMM QP solver (sparse, and the
+// dense reference it replaced), Reeds-Shepp word search, hybrid A*, the BEV
+// rasterizer and the conv forward pass. These quantify where a CO frame's
+// milliseconds go.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
+#include "../tests/dense_qp_oracle.hpp"
 #include "co/heuristic.hpp"
 #include "co/hybrid_astar.hpp"
 #include "co/reeds_shepp.hpp"
+#include "co/trajopt.hpp"
 #include "sim/suite.hpp"
 #include "il/batch_inferencer.hpp"
 #include "il/observation.hpp"
 #include "il/policy.hpp"
 #include "mathkit/gemm.hpp"
-#include "mathkit/ldlt.hpp"
 #include "mathkit/qp.hpp"
 #include "mathkit/rng.hpp"
 #include "nn/layers.hpp"
@@ -24,40 +28,56 @@ namespace {
 
 using namespace icoil;
 
-math::Matrix random_spd(std::size_t n, std::uint64_t seed) {
-  math::Rng rng(seed);
-  math::Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal() * 0.3;
-  math::Matrix m = a.transpose() * a;
-  for (std::size_t i = 0; i < n; ++i) m(i, i) += 1.0;
-  return m;
+// A trajectory-optimization QP (H = 15) as TrajOpt::build_qp lays it out:
+// a car at 1 m/s tracking a straight line, with (`obstacle`) or without a
+// parked box beside the path whose collision rows add slack variables.
+co::TrajOptQp trajopt_qp(bool obstacle) {
+  const co::TrajOptConfig config;
+  const co::TrajOpt opt(config, vehicle::VehicleParams{});
+  vehicle::State s;
+  s.speed = 1.0;
+  std::vector<co::TargetPoint> targets;
+  for (int h = 1; h <= config.horizon; ++h)
+    targets.push_back({{1.0 * config.dt * h, 0.3, 0.0}, 1.0});
+  std::vector<co::PredictedObstacle> obstacles;
+  if (obstacle) obstacles.push_back({{{2.5, 1.8}, 0.0, 2.2, 0.9}, {}});
+  return opt.build_qp(s, targets, obstacles, opt.initial_nominal(s, nullptr));
 }
 
-void BM_LdltFactorSolve(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const math::Matrix m = random_spd(n, 3);
-  std::vector<double> b(n, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(math::solve_spd(m, b));
-  }
+void label_qp(benchmark::State& state, const co::TrajOptQp& qp, int iterations) {
+  state.SetLabel("n=" + std::to_string(qp.problem.num_vars()) +
+                 " m=" + std::to_string(qp.problem.num_constraints()) +
+                 " iters=" + std::to_string(iterations));
 }
-BENCHMARK(BM_LdltFactorSolve)->Arg(30)->Arg(90)->Arg(180)->Unit(benchmark::kMicrosecond);
 
-void BM_QpBoxConstrained(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  math::QpProblem p;
-  p.p = random_spd(n, 5);
-  p.q.assign(n, -1.0);
-  p.a = math::Matrix::identity(n);
-  p.l.assign(n, -1.0);
-  p.u.assign(n, 1.0);
-  const math::QpSolver solver;
+// The sparse solver of mathkit/qp.hpp on the QP above (arg: obstacle?).
+void BM_QpTrajoptSparse(benchmark::State& state) {
+  const co::TrajOptQp qp = trajopt_qp(state.range(0) != 0);
+  const math::QpSolver solver(co::TrajOptConfig{}.qp);
+  int iterations = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(p));
+    const math::QpResult r = solver.solve(qp.problem);
+    iterations = r.iterations;
+    benchmark::DoNotOptimize(r.x.data());
   }
+  label_qp(state, qp, iterations);
 }
-BENCHMARK(BM_QpBoxConstrained)->Arg(30)->Arg(90)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_QpTrajoptSparse)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The same QPs through the dense reference solver the sparse one replaced
+// (tests/dense_qp_oracle.hpp): same iterates, dense P, A and LDLT.
+void BM_QpTrajoptDense(benchmark::State& state) {
+  const co::TrajOptQp qp = trajopt_qp(state.range(0) != 0);
+  const math::QpSettings settings = co::TrajOptConfig{}.qp;
+  int iterations = 0;
+  for (auto _ : state) {
+    const math::QpResult r = oracle::dense_qp_solve(qp.problem, settings);
+    iterations = r.iterations;
+    benchmark::DoNotOptimize(r.x.data());
+  }
+  label_qp(state, qp, iterations);
+}
+BENCHMARK(BM_QpTrajoptDense)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_ReedsSheppShortest(benchmark::State& state) {
   const co::ReedsShepp rs(3.5);

@@ -61,10 +61,33 @@ struct TrajOptResult {
   int active_obstacle_constraints = 0;
 };
 
+/// One convexify step of the SQP loop: the QP of (6) linearized around a
+/// nominal rollout.
+///
+/// The variable order is the elimination order of the sparse LDLT (see
+/// math::SparseLdlt): the obstacle slacks come first, then the stages
+/// (u_h, s_{h+1}) for h = 0..H-1, each a 2-vector control (accel, steer)
+/// followed by a 4-vector state (x, y, theta, v). A slack couples only to
+/// the (x, y, theta) of its own stage, so eliminating the slacks first
+/// keeps their fill inside that stage's block, and the rest of the
+/// factor stays banded.
+struct TrajOptQp {
+  math::QpProblem problem;
+  int slacks = 0;  ///< obstacle half-space rows, one slack variable each
+
+  /// Index of control component `c` (0 accel, 1 steer) of u_h, h in [0, H).
+  int control_index(int h, int c) const { return slacks + 6 * h + c; }
+  /// Index of state component `c` (x, y, theta, v) of s_h, h in [1, H].
+  int state_index(int h, int c) const { return slacks + 6 * (h - 1) + 2 + c; }
+};
+
 /// The CO trajectory optimizer: converts the nonconvex program (6) into a
 /// sequence of convex QPs (linearized Ackermann dynamics + half-space
 /// collision constraints + trust region) solved by the ADMM QP solver, in
 /// the spirit of the convexification pipeline the paper implements on CVXPY.
+///
+/// `solve` runs the SQP loop from its public steps: `initial_nominal`,
+/// then per round `build_qp`, a QP solve and `controls_of`.
 class TrajOpt {
  public:
   TrajOpt(TrajOptConfig config, vehicle::VehicleParams params);
@@ -82,6 +105,24 @@ class TrajOpt {
                       const std::vector<vehicle::PlannerControl>* warm_start =
                           nullptr,
                       const core::FrameContext* frame = nullptr) const;
+
+  /// The nominal controls of the first SQP round: `warm` shifted by one
+  /// step, or without it a braking profile from `current`.
+  std::vector<vehicle::PlannerControl> initial_nominal(
+      const vehicle::State& current,
+      const std::vector<vehicle::PlannerControl>* warm) const;
+
+  /// The QP of one SQP round, linearized around the rollout of `nominal`
+  /// (size horizon) from `current`. `targets` holds at least horizon
+  /// points; obstacles beyond the active range of `current` are ignored.
+  TrajOptQp build_qp(const vehicle::State& current,
+                     const std::vector<TargetPoint>& targets,
+                     const std::vector<PredictedObstacle>& obstacles,
+                     const std::vector<vehicle::PlannerControl>& nominal) const;
+
+  /// The controls of a solution `x` of `qp`, clamped to the actuator limits.
+  std::vector<vehicle::PlannerControl> controls_of(
+      const TrajOptQp& qp, const std::vector<double>& x) const;
 
   /// Disc centres (longitudinal offsets from the rear axle) and radius used
   /// to approximate the footprint in constraint (5).

@@ -113,12 +113,6 @@ double Matrix::max_abs() const {
   return m;
 }
 
-void Matrix::set_block(std::size_t r, std::size_t c, const Matrix& block) {
-  assert(r + block.rows() <= rows_ && c + block.cols() <= cols_);
-  for (std::size_t i = 0; i < block.rows(); ++i)
-    for (std::size_t j = 0; j < block.cols(); ++j) (*this)(r + i, c + j) = block(i, j);
-}
-
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   assert(a.size() == b.size());
   double acc = 0.0;
@@ -128,7 +122,10 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 double norm_inf(const std::vector<double>& v) {
   double m = 0.0;
-  for (double x : v) m = std::max(m, std::abs(x));
+  for (double x : v) {
+    if (std::isnan(x)) return x;  // std::max(m, NaN) would drop it
+    m = std::max(m, std::abs(x));
+  }
   return m;
 }
 

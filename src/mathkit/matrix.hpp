@@ -7,9 +7,9 @@
 
 namespace icoil::math {
 
-/// Dense row-major matrix of doubles. Sized for the small/medium problems a
-/// parking MPC produces (tens to a few hundred variables), so simplicity and
-/// cache-friendly loops beat sparse machinery.
+/// Dense row-major matrix of doubles, for small dense blocks and test
+/// oracles. Structured problems such as the trajectory-optimization QP use
+/// the CSR matrix of mathkit/sparse.hpp instead.
 class Matrix {
  public:
   Matrix() = default;
@@ -56,9 +56,6 @@ class Matrix {
   /// Largest absolute entry.
   double max_abs() const;
 
-  /// Write `block` into this matrix with its top-left corner at (r, c).
-  void set_block(std::size_t r, std::size_t c, const Matrix& block);
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -67,6 +64,7 @@ class Matrix {
 
 /// Vector helpers shared by the solvers.
 double dot(const std::vector<double>& a, const std::vector<double>& b);
+/// Largest absolute entry; NaN if any entry is NaN.
 double norm_inf(const std::vector<double>& v);
 double norm2(const std::vector<double>& v);
 std::vector<double> add(const std::vector<double>& a, const std::vector<double>& b);

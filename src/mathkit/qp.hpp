@@ -1,27 +1,28 @@
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "mathkit/matrix.hpp"
+#include "mathkit/sparse.hpp"
 
 namespace icoil::math {
 
 /// Quadratic program in OSQP standard form:
 ///   minimize   0.5 x^T P x + q^T x
 ///   subject to l <= A x <= u
-/// P must be symmetric positive semidefinite. Equality constraints are
-/// expressed with l == u; one-sided constraints with +/- kQpInf.
+/// P must be symmetric positive semidefinite and is stored with both
+/// triangles. Equality constraints are expressed with l == u; one-sided
+/// constraints with +/- kQpInf.
 struct QpProblem {
-  Matrix p;                ///< n x n cost Hessian
+  CsrMatrix p;             ///< n x n cost Hessian
   std::vector<double> q;   ///< n cost gradient
-  Matrix a;                ///< m x n constraint matrix
+  CsrMatrix a;             ///< m x n constraint matrix
   std::vector<double> l;   ///< m lower bounds
   std::vector<double> u;   ///< m upper bounds
 
   std::size_t num_vars() const { return q.size(); }
   std::size_t num_constraints() const { return l.size(); }
-  /// Basic shape/consistency validation.
+  /// Shapes agree, both matrices are well-formed CSR, every P, A and q
+  /// value is finite, and no bound is NaN or has l > u.
   bool valid() const;
 };
 
@@ -52,10 +53,13 @@ struct QpResult {
   bool ok() const { return status == QpStatus::kSolved; }
 };
 
-/// Dense ADMM solver implementing the OSQP algorithm
+/// Sparse ADMM solver implementing the OSQP algorithm
 /// (Stellato et al., "OSQP: an operator splitting solver for quadratic
-/// programs"). Suitable for the few-hundred-variable QPs produced by the
-/// parking MPC. Supports warm starting via `x0`/`y0`.
+/// programs"). Each solve factors K = P + sigma*I + A^T R A with the sparse
+/// LDLT of mathkit/ldlt.hpp: the symbolic step runs once per problem and
+/// every adaptive-rho change only refactors numerically. The variable order
+/// of the problem is the elimination order. The ADMM loop allocates
+/// nothing. Supports warm starting via `x0`/`y0`.
 class QpSolver {
  public:
   explicit QpSolver(QpSettings settings = {}) : settings_(settings) {}

@@ -328,6 +328,19 @@ TEST(TrajOptTest, WarmStartAccepted) {
   EXPECT_NEAR(warm.control.accel, cold.control.accel, 0.3);
 }
 
+// A NaN state once reached the QP solver, which reported kSolved with a
+// NaN solution, and std::clamp passed NaN controls to the vehicle. The QP
+// now rejects the non-finite problem, so the solve fails cleanly.
+TEST(TrajOptTest, NonFiniteStateFailsInsteadOfReturningNan) {
+  TrajOptConfig cfg;
+  TrajOpt opt(cfg, vehicle::VehicleParams{});
+  vehicle::State s;
+  s.speed = std::nan("");
+  const TrajOptResult res =
+      opt.solve(s, straight_targets(cfg.horizon, 1.0, 1.0 * cfg.dt), {});
+  EXPECT_FALSE(res.ok);
+}
+
 TEST(TrajOptTest, TooFewTargetsRejected) {
   TrajOptConfig cfg;
   TrajOpt opt(cfg, vehicle::VehicleParams{});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "mathkit/gemm.hpp"
@@ -8,6 +9,7 @@
 #include "mathkit/matrix.hpp"
 #include "mathkit/qp.hpp"
 #include "mathkit/rng.hpp"
+#include "mathkit/sparse.hpp"
 #include "mathkit/stats.hpp"
 #include "mathkit/table.hpp"
 
@@ -67,14 +69,6 @@ TEST(MatrixTest, ApplyTransposeMatchesTransposeApply) {
   for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_DOUBLE_EQ(y1[i], y2[i]);
 }
 
-TEST(MatrixTest, SetBlock) {
-  Matrix m(4, 4);
-  m.set_block(1, 1, Matrix{{1, 2}, {3, 4}});
-  EXPECT_DOUBLE_EQ(m(1, 1), 1.0);
-  EXPECT_DOUBLE_EQ(m(2, 2), 4.0);
-  EXPECT_DOUBLE_EQ(m(0, 0), 0.0);
-}
-
 TEST(MatrixTest, VectorHelpers) {
   const std::vector<double> a{1, -2, 3}, b{2, 2, 2};
   EXPECT_DOUBLE_EQ(dot(a, b), 4.0);
@@ -87,10 +81,41 @@ TEST(MatrixTest, VectorHelpers) {
 
 // ------------------------------------------------------------------ LDLT
 
+// The upper triangle of a dense symmetric matrix in CSC form, diagonal
+// always present: the input layout of SparseLdlt.
+struct UpperCsc {
+  std::vector<int> col_ptr{0};
+  std::vector<int> row_idx;
+  std::vector<double> values;
+};
+
+UpperCsc upper_csc(const Matrix& m) {
+  UpperCsc u;
+  for (std::size_t j = 0; j < m.cols(); ++j) {
+    for (std::size_t i = 0; i <= j; ++i) {
+      if (i != j && m(i, j) == 0.0) continue;
+      u.row_idx.push_back(static_cast<int>(i));
+      u.values.push_back(m(i, j));
+    }
+    u.col_ptr.push_back(static_cast<int>(u.row_idx.size()));
+  }
+  return u;
+}
+
+std::optional<std::vector<double>> solve_sparse(const Matrix& m, std::vector<double> b) {
+  const UpperCsc u = upper_csc(m);
+  SparseLdlt f;
+  if (!f.analyze(static_cast<int>(m.rows()), u.col_ptr, u.row_idx) ||
+      !f.factor(u.values.data()))
+    return std::nullopt;
+  f.solve(b.data());
+  return b;
+}
+
 TEST(LdltTest, SolvesSpdSystem) {
   const Matrix m{{4, 1, 0}, {1, 3, -1}, {0, -1, 2}};
   const std::vector<double> b{1, 2, 3};
-  const auto x = solve_spd(m, b);
+  const auto x = solve_sparse(m, b);
   ASSERT_TRUE(x.has_value());
   const auto r = m.apply(*x);
   for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(r[i], b[i], 1e-9);
@@ -98,24 +123,58 @@ TEST(LdltTest, SolvesSpdSystem) {
 
 TEST(LdltTest, FailsOnSingular) {
   const Matrix m{{1, 1}, {1, 1}};
-  EXPECT_FALSE(Ldlt::factorize(m).has_value());
+  EXPECT_FALSE(solve_sparse(m, {1, 1}).has_value());
 }
 
-TEST(LdltTest, FailsOnNonSquare) {
-  const Matrix m(2, 3);
-  EXPECT_FALSE(Ldlt::factorize(m).has_value());
+TEST(LdltTest, RejectsMalformedPattern) {
+  SparseLdlt f;
+  EXPECT_FALSE(f.analyze(2, {0, 1, 2}, {0, 0, 1}));  // col_ptr end != nnz
+  EXPECT_FALSE(f.analyze(2, {0, 2, 3}, {0, 1, 1}));  // entry below the diagonal
+  EXPECT_FALSE(f.analyze(2, {0, 1}, {0}));           // col_ptr too short
+  EXPECT_TRUE(f.analyze(2, {0, 1, 3}, {0, 0, 1}));
 }
 
 TEST(LdltTest, HandlesIndefiniteQuasiDefinite) {
   // Symmetric quasi-definite (positive then negative block) still factors.
   const Matrix m{{2, 1}, {1, -3}};
-  const auto f = Ldlt::factorize(m);
-  ASSERT_TRUE(f.has_value());
-  const std::vector<double> b{1, 1};
-  const auto x = f->solve(b);
-  const auto r = m.apply(x);
+  const auto x = solve_sparse(m, {1, 1});
+  ASSERT_TRUE(x.has_value());
+  const auto r = m.apply(*x);
   EXPECT_NEAR(r[0], 1.0, 1e-9);
   EXPECT_NEAR(r[1], 1.0, 1e-9);
+}
+
+TEST(LdltTest, RefactorsNewValuesOnTheSamePattern) {
+  const Matrix m1{{4, 1, 0}, {1, 3, -1}, {0, -1, 2}};
+  const Matrix m2{{9, 2, 0}, {2, 5, 1}, {0, 1, 7}};
+  const UpperCsc u1 = upper_csc(m1), u2 = upper_csc(m2);
+  ASSERT_EQ(u1.row_idx, u2.row_idx);
+  SparseLdlt f;
+  ASSERT_TRUE(f.analyze(3, u1.col_ptr, u1.row_idx));
+  for (const auto* pair : {&m1, &m2}) {
+    const UpperCsc& u = pair == &m1 ? u1 : u2;
+    ASSERT_TRUE(f.factor(u.values.data()));
+    std::vector<double> x{1, -2, 3};
+    f.solve(x.data());
+    const auto r = pair->apply(x);
+    EXPECT_NEAR(r[0], 1.0, 1e-9);
+    EXPECT_NEAR(r[1], -2.0, 1e-9);
+    EXPECT_NEAR(r[2], 3.0, 1e-9);
+  }
+}
+
+TEST(LdltTest, TridiagonalHasNoFill) {
+  const std::size_t n = 12;
+  Matrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    m(i, i) = 4.0;
+    if (i + 1 < n) m(i, i + 1) = m(i + 1, i) = -1.0;
+  }
+  const UpperCsc u = upper_csc(m);
+  SparseLdlt f;
+  ASSERT_TRUE(f.analyze(static_cast<int>(n), u.col_ptr, u.row_idx));
+  EXPECT_EQ(f.nnz_l(), n - 1);
+  ASSERT_TRUE(f.factor(u.values.data()));
 }
 
 class LdltRandomSpd : public ::testing::TestWithParam<int> {};
@@ -123,15 +182,16 @@ class LdltRandomSpd : public ::testing::TestWithParam<int> {};
 TEST_P(LdltRandomSpd, ResidualSmall) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 100);
   const std::size_t n = 3 + static_cast<std::size_t>(GetParam()) % 8;
-  // A^T A + I is SPD.
+  // A^T A + I is SPD; sparsify A so the pattern has structure.
   Matrix a(n, n);
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal();
+    for (std::size_t j = 0; j < n; ++j)
+      a(i, j) = rng.uniform() < 0.4 ? rng.normal() : 0.0;
   Matrix m = a.transpose() * a;
   for (std::size_t i = 0; i < n; ++i) m(i, i) += 1.0;
   std::vector<double> b(n);
   for (double& v : b) v = rng.normal();
-  const auto x = solve_spd(m, b);
+  const auto x = solve_sparse(m, b);
   ASSERT_TRUE(x.has_value());
   const auto r = sub(m.apply(*x), b);
   EXPECT_LT(norm_inf(r), 1e-8);
@@ -139,14 +199,37 @@ TEST_P(LdltRandomSpd, ResidualSmall) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSystems, LdltRandomSpd, ::testing::Range(0, 20));
 
+// ------------------------------------------------------------------- CSR
+
+TEST(CsrTest, TripletsSumDuplicatesAndSortColumns) {
+  const CsrMatrix m =
+      CsrMatrix::from_triplets(2, 3, {{1, 2, 1.0}, {0, 1, 2.0}, {1, 0, 3.0}, {0, 1, 0.5}});
+  ASSERT_TRUE(m.well_formed());
+  EXPECT_EQ(m.row_ptr, (std::vector<int>{0, 1, 3}));
+  EXPECT_EQ(m.col, (std::vector<int>{1, 0, 2}));
+  EXPECT_EQ(m.val, (std::vector<double>{2.5, 3.0, 1.0}));
+}
+
+TEST(CsrTest, ApplyAndTransposeMatchDense) {
+  const Matrix d{{1, 0, 2}, {0, 0, 0}, {-1, 3, 0}};
+  const CsrMatrix m = CsrMatrix::from_dense(d);
+  EXPECT_EQ(m.nnz(), 4u);
+  const std::vector<double> x{1, 2, 3};
+  EXPECT_EQ(m.apply(x), d.apply(x));
+  EXPECT_EQ(m.transpose().apply(x), d.transpose().apply(x));
+  const Matrix back = m.transpose().to_dense().transpose();
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(back(i, j), d(i, j));
+}
+
 // -------------------------------------------------------------------- QP
 
 TEST(QpTest, UnconstrainedQuadratic) {
   // min 0.5 x^T I x - [1,2]^T x  ->  x = (1, 2)
   QpProblem p;
-  p.p = Matrix::identity(2);
+  p.p = CsrMatrix::from_dense(Matrix::identity(2));
   p.q = {-1, -2};
-  p.a = Matrix(0, 2);
+  p.a = CsrMatrix::from_dense(Matrix(0, 2));
   const QpResult r = QpSolver().solve(p);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.x[0], 1.0, 1e-3);
@@ -156,9 +239,9 @@ TEST(QpTest, UnconstrainedQuadratic) {
 TEST(QpTest, BoxConstrainedProjectsOntoBounds) {
   // min (x-5)^2 s.t. x <= 1
   QpProblem p;
-  p.p = Matrix{{2}};
+  p.p = CsrMatrix::from_dense(Matrix{{2}});
   p.q = {-10};
-  p.a = Matrix{{1}};
+  p.a = CsrMatrix::from_dense(Matrix{{1}});
   p.l = {-kQpInf};
   p.u = {1.0};
   const QpResult r = QpSolver().solve(p);
@@ -169,9 +252,9 @@ TEST(QpTest, BoxConstrainedProjectsOntoBounds) {
 TEST(QpTest, EqualityConstraint) {
   // min x^2 + y^2 s.t. x + y = 2 -> (1, 1)
   QpProblem p;
-  p.p = Matrix::identity(2) * 2.0;
+  p.p = CsrMatrix::from_dense(Matrix::identity(2) * 2.0);
   p.q = {0, 0};
-  p.a = Matrix{{1, 1}};
+  p.a = CsrMatrix::from_dense(Matrix{{1, 1}});
   p.l = {2.0};
   p.u = {2.0};
   const QpResult r = QpSolver().solve(p);
@@ -183,9 +266,9 @@ TEST(QpTest, EqualityConstraint) {
 TEST(QpTest, ActiveInequalityMixesWithEquality) {
   // min (x-3)^2 + (y+1)^2  s.t. x + y = 1, y >= 0  ->  x = 1, y = 0.
   QpProblem p;
-  p.p = Matrix::identity(2) * 2.0;
+  p.p = CsrMatrix::from_dense(Matrix::identity(2) * 2.0);
   p.q = {-6.0, 2.0};
-  p.a = Matrix{{1, 1}, {0, 1}};
+  p.a = CsrMatrix::from_dense(Matrix{{1, 1}, {0, 1}});
   p.l = {1.0, 0.0};
   p.u = {1.0, kQpInf};
   const QpResult r = QpSolver().solve(p);
@@ -196,9 +279,9 @@ TEST(QpTest, ActiveInequalityMixesWithEquality) {
 
 TEST(QpTest, WarmStartReducesIterations) {
   QpProblem p;
-  p.p = Matrix::identity(4) * 2.0;
+  p.p = CsrMatrix::from_dense(Matrix::identity(4) * 2.0);
   p.q = {-1, -2, -3, -4};
-  p.a = Matrix::identity(4);
+  p.a = CsrMatrix::from_dense(Matrix::identity(4));
   p.l = {0, 0, 0, 0};
   p.u = {1, 1, 1, 1};
   QpSolver solver;
@@ -211,9 +294,9 @@ TEST(QpTest, WarmStartReducesIterations) {
 
 TEST(QpTest, RejectsInvalidProblem) {
   QpProblem p;  // empty everything but mismatched bounds
-  p.p = Matrix::identity(2);
+  p.p = CsrMatrix::from_dense(Matrix::identity(2));
   p.q = {0, 0};
-  p.a = Matrix{{1, 0}};
+  p.a = CsrMatrix::from_dense(Matrix{{1, 0}});
   p.l = {1.0};
   p.u = {0.0};  // l > u
   const QpResult r = QpSolver().solve(p);
@@ -227,12 +310,13 @@ TEST(QpTest, SolutionSatisfiesConstraints) {
     Matrix a(n, n);
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal() * 0.3;
+    Matrix hess = a.transpose() * a;
+    for (std::size_t i = 0; i < n; ++i) hess(i, i) += 1.0;
     QpProblem p;
-    p.p = a.transpose() * a;
-    for (std::size_t i = 0; i < n; ++i) p.p(i, i) += 1.0;
+    p.p = CsrMatrix::from_dense(hess);
     p.q.assign(n, 0.0);
     for (double& v : p.q) v = rng.normal();
-    p.a = Matrix::identity(n);
+    p.a = CsrMatrix::from_dense(Matrix::identity(n));
     p.l.assign(n, -1.0);
     p.u.assign(n, 1.0);
     const QpResult r = QpSolver().solve(p);
@@ -247,9 +331,9 @@ TEST(QpTest, SolutionSatisfiesConstraints) {
 TEST(QpTest, ObjectiveNotWorseThanFeasibleGuess) {
   // Compare solver objective against an arbitrary feasible point.
   QpProblem p;
-  p.p = Matrix{{2, 0}, {0, 4}};
+  p.p = CsrMatrix::from_dense(Matrix{{2, 0}, {0, 4}});
   p.q = {-2, -8};
-  p.a = Matrix::identity(2);
+  p.a = CsrMatrix::from_dense(Matrix::identity(2));
   p.l = {0, 0};
   p.u = {10, 10};
   const QpResult r = QpSolver().solve(p);
@@ -257,6 +341,133 @@ TEST(QpTest, ObjectiveNotWorseThanFeasibleGuess) {
   const std::vector<double> guess{0.5, 0.5};
   const double guess_obj = 0.5 * dot(guess, p.p.apply(guess)) + dot(p.q, guess);
   EXPECT_LE(r.objective, guess_obj + 1e-6);
+}
+
+// A NaN input once came back as kSolved with a NaN solution: norm_inf
+// dropped NaN (std::max(0.0, NaN) is 0.0), so every residual read 0 and
+// the first check "converged". Each malformed input below must be
+// rejected as kInvalidProblem before any iteration runs.
+
+// min x0^2 + x1^2 over the box [-1, 1]^2 with the trajectory-optimization
+// settings; each test breaks one field.
+QpProblem box_qp() {
+  QpProblem p;
+  p.p = CsrMatrix::from_dense(Matrix::identity(2) * 2.0);
+  p.q = {0.5, 1.0};
+  p.a = CsrMatrix::from_dense(Matrix::identity(2));
+  p.l = {-1.0, -1.0};
+  p.u = {1.0, 1.0};
+  return p;
+}
+
+QpStatus solve_status(const QpProblem& p) {
+  return QpSolver({.max_iterations = 500, .eps_abs = 1e-3, .eps_rel = 1e-3}).solve(p).status;
+}
+
+TEST(QpInvalidInput, BaselineBoxQpSolves) {
+  EXPECT_EQ(solve_status(box_qp()), QpStatus::kSolved);
+}
+
+TEST(QpInvalidInput, NanGradient) {
+  QpProblem p = box_qp();
+  p.q[0] = std::nan("");
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, InfiniteGradient) {
+  QpProblem p = box_qp();
+  p.q[1] = INFINITY;
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, NanLowerBound) {
+  QpProblem p = box_qp();
+  p.l[1] = std::nan("");
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, NanUpperBound) {
+  QpProblem p = box_qp();
+  p.u[0] = std::nan("");
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, LowerAboveUpper) {
+  QpProblem p = box_qp();
+  p.l[0] = 2.0;
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, NonFiniteHessianValue) {
+  QpProblem p = box_qp();
+  p.p.val[1] = std::nan("");
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, NonFiniteConstraintValue) {
+  QpProblem p = box_qp();
+  p.a.val[0] = -INFINITY;
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, RowPointerCountMismatch) {
+  QpProblem p = box_qp();
+  p.a.row_ptr = {0, 2};  // m + 1 = 3 pointers expected
+  p.a.col = {0, 1};
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, RowPointersNotMonotone) {
+  QpProblem p = box_qp();
+  // Three rows whose pointers step back (2 -> 1) while staying inside nnz.
+  p.a = CsrMatrix{3, 2, {0, 2, 1, 3}, {0, 1, 0}, {1.0, 1.0, 1.0}};
+  p.l = {-1.0, -1.0, -1.0};
+  p.u = {1.0, 1.0, 1.0};
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, RowPointersDoNotCoverEntries) {
+  QpProblem p = box_qp();
+  p.p.row_ptr.back() = 1;  // leaves the second entry outside every row
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, ColumnOutOfRange) {
+  QpProblem p = box_qp();
+  p.a.col[1] = 2;
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, NegativeColumn) {
+  QpProblem p = box_qp();
+  p.p.col[0] = -1;
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, DuplicateColumnInRow) {
+  QpProblem p = box_qp();
+  p.a = CsrMatrix{2, 2, {0, 2, 3}, {0, 0, 1}, {1.0, 1.0, 1.0}};
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, DescendingColumnsInRow) {
+  QpProblem p = box_qp();
+  p.a = CsrMatrix{2, 2, {0, 2, 2}, {1, 0}, {1.0, 1.0}};
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, ShapeMismatch) {
+  QpProblem p = box_qp();
+  p.a.cols = 3;
+  EXPECT_EQ(solve_status(p), QpStatus::kInvalidProblem);
+}
+
+TEST(QpInvalidInput, NormInfPropagatesNan) {
+  const double nan = std::nan("");
+  EXPECT_TRUE(std::isnan(norm_inf({nan, 1.0})));
+  EXPECT_TRUE(std::isnan(norm_inf({1.0, nan})));
+  EXPECT_TRUE(std::isnan(norm_inf({5.0, nan, 1.0})));
+  EXPECT_DOUBLE_EQ(norm_inf({-5.0, 1.0}), 5.0);
 }
 
 // ----------------------------------------------------------------- stats

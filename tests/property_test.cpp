@@ -28,12 +28,13 @@ TEST_P(QpKktProperty, SolutionSatisfiesKktConditions) {
   math::Matrix a(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal() * 0.4;
+  math::Matrix hess = a.transpose() * a;
+  for (std::size_t i = 0; i < n; ++i) hess(i, i) += 0.5;
   math::QpProblem p;
-  p.p = a.transpose() * a;
-  for (std::size_t i = 0; i < n; ++i) p.p(i, i) += 0.5;
+  p.p = math::CsrMatrix::from_dense(hess);
   p.q.assign(n, 0.0);
   for (double& v : p.q) v = rng.normal();
-  p.a = math::Matrix::identity(n);
+  p.a = math::CsrMatrix::from_dense(math::Matrix::identity(n));
   p.l.assign(n, -1.5);
   p.u.assign(n, 1.5);
 
@@ -52,7 +53,7 @@ TEST_P(QpKktProperty, SolutionSatisfiesKktConditions) {
   }
   // Stationarity: P x + q + A^T y = 0.
   const auto px = p.p.apply(r.x);
-  const auto aty = p.a.apply_transpose(r.y);
+  const auto aty = p.a.transpose().apply(r.y);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(px[i] + p.q[i] + aty[i], 0.0, 5e-3);
   // Complementary slackness sign convention: y_i < 0 only at the lower

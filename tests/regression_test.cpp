@@ -57,14 +57,11 @@ TEST(RegressionTest, ColdStartMpcReverseDirection) {
 // equality+inequality mix converges quickly.
 TEST(RegressionTest, MixedEqualityQpConvergesFast) {
   math::QpProblem p;
-  p.p = math::Matrix::identity(4) * 2.0;
+  p.p = math::CsrMatrix::from_dense(math::Matrix::identity(4) * 2.0);
   p.q = {-1, -2, 0, 1};
-  p.a = math::Matrix(3, 4);
   // x0 + x1 = 1 (equality), x2 in [0, 1], x3 >= -1.
-  p.a(0, 0) = 1.0;
-  p.a(0, 1) = 1.0;
-  p.a(1, 2) = 1.0;
-  p.a(2, 3) = 1.0;
+  p.a = math::CsrMatrix::from_triplets(
+      3, 4, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}});
   p.l = {1.0, 0.0, -1.0};
   p.u = {1.0, 1.0, math::kQpInf};
   const math::QpResult r = math::QpSolver().solve(p);
