@@ -115,8 +115,9 @@ ModeResult run_mode(const std::vector<Problem>& problems,
   if (g_lut_bins > 0) config.lut_heading_bins = g_lut_bins;
   const co::HybridAStar astar(config, vehicle::VehicleParams{});
 
-  // Warm pass: pays the one-time shared-LUT build (and touches the code
-  // paths) outside the timed loop, as a long-lived process would.
+  // Warm pass: fills the shared-LUT entries the first plan reads (and
+  // touches the code paths) outside the timed loop, as a long-lived process
+  // would.
   if (!problems.empty()) {
     const Problem& w = problems.front();
     (void)astar.plan(w.start, w.goal, w.obstacles, w.bounds, nullptr,

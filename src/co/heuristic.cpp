@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "co/reeds_shepp.hpp"
@@ -52,9 +51,6 @@ RsHeuristicLut::RsHeuristicLut(const RsLutSpec& spec) : spec_(spec) {
   spec_.radius = std::max(1e-2, spec_.radius);
   cells_ = static_cast<int>(std::ceil(spec_.extent / spec_.xy_resolution));
   nx_ = 2 * cells_ + 1;
-  const int bins = spec_.heading_bins;
-  const double res = spec_.xy_resolution;
-  const double hbin = geom::kTwoPi / bins;
 
   // A query rounds to the nearest lattice point, so each table entry must
   // lower-bound the RS length over the whole quantization box
@@ -62,91 +58,51 @@ RsHeuristicLut::RsHeuristicLut(const RsLutSpec& spec) : spec_(spec) {
   // useless here: the RS metric prices tiny LATERAL offsets at parking-
   // manoeuvre lengths (metres for centimetres), which would swamp the
   // table. Instead each entry stores the MINIMUM over a 15-point stencil
-  // of its quantization box — the centre, the four xy-corners at the bin
-  // heading, and centre + corners at both heading faces — so quantization
-  // biases the value downward by construction. A small residual margin
-  // (slack_) covers dips between stencil samples; away from the goal the
-  // length function is ~1-Lipschitz in position, so a fraction of the cell
-  // diagonal suffices.
-  slack_ = kResidualMarginCells * res;
+  // of its quantization box (see stencil_min()), so quantization biases the value
+  // downward by construction. A small residual margin (slack_) covers dips
+  // between stencil samples; away from the goal the length function is
+  // ~1-Lipschitz in position, so a fraction of the cell diagonal suffices.
+  slack_ = kResidualMarginCells * spec_.xy_resolution;
 
-  // Four sample lattices cover the stencil with no repeated solves:
-  // centres/corners in xy, bin-centre/bin-face in heading. Corner lattice
-  // point (ix, iy) is the (-res/2, -res/2) corner of cell (ix, iy); face
-  // lattice plane it is the (it - 1/2) * hbin boundary below bin it.
-  const int ncor = nx_ + 1;
-  const std::size_t cell_n = static_cast<std::size_t>(nx_) * nx_;
-  const std::size_t cor_n = static_cast<std::size_t>(ncor) * ncor;
-  std::vector<float> cen_c(cell_n * bins), cen_f(cell_n * bins);
-  std::vector<float> cor_c(cor_n * bins), cor_f(cor_n * bins);
+  table_ = std::vector<std::atomic<float>>(
+      static_cast<std::size_t>(nx_) * nx_ * spec_.heading_bins);
+  for (std::atomic<float>& entry : table_)
+    entry.store(kUnfilled, std::memory_order_relaxed);
+}
 
-  // Independent per-heading slabs: build them on all hardware threads (the
-  // table is shared process-wide, so this cost is paid once per spec).
-  const auto fill_slab = [&](int it) {
-    const ReedsShepp rs(spec_.radius);
-    const auto solve = [&](double dx, double dy, double dtheta) {
-      const auto path = rs.shortest_path({dx, dy, dtheta}, {0.0, 0.0, 0.0});
-      return path ? static_cast<float>(rs.length(*path)) : 0.0f;
-    };
-    const double tc = it * hbin;
-    const double tf = (it - 0.5) * hbin;
-    for (int iy = 0; iy < ncor; ++iy) {
-      const double yc = (iy - cells_) * res;
-      const double yf = yc - 0.5 * res;
-      for (int ix = 0; ix < ncor; ++ix) {
-        const double xc = (ix - cells_) * res;
-        const double xf = xc - 0.5 * res;
-        const std::size_t ci = static_cast<std::size_t>(it) * cor_n +
-                               static_cast<std::size_t>(iy) * ncor + ix;
-        cor_c[ci] = solve(xf, yf, tc);
-        cor_f[ci] = solve(xf, yf, tf);
-        if (ix < nx_ && iy < nx_) {
-          const std::size_t ei = static_cast<std::size_t>(it) * cell_n +
-                                 static_cast<std::size_t>(iy) * nx_ + ix;
-          cen_c[ei] = solve(xc, yc, tc);
-          cen_f[ei] = solve(xc, yc, tf);
-        }
-      }
-    }
+float RsHeuristicLut::stencil_min(int ix, int iy, int it) const {
+  const ReedsShepp rs(spec_.radius);
+  const auto solve = [&](double dx, double dy, double dtheta) {
+    const auto path = rs.shortest_path({dx, dy, dtheta}, {0.0, 0.0, 0.0});
+    return path ? static_cast<float>(rs.length(*path)) : 0.0f;
   };
-  {
-    const int workers = std::max(
-        1, std::min<int>(bins, std::thread::hardware_concurrency()));
-    std::atomic<int> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-      pool.emplace_back([&] {
-        for (int it; (it = next.fetch_add(1)) < bins;) fill_slab(it);
-      });
-    for (std::thread& t : pool) t.join();
-  }
-
-  table_.resize(cell_n * bins);
-  for (int it = 0; it < bins; ++it) {
-    const int it_up = (it + 1) % bins;  // face above bin it = face of it+1
-    for (int iy = 0; iy < nx_; ++iy) {
-      for (int ix = 0; ix < nx_; ++ix) {
-        const auto cor = [&](const std::vector<float>& lat, int slab) {
-          const std::size_t base = static_cast<std::size_t>(slab) * cor_n;
-          return std::min(
-              std::min(lat[base + static_cast<std::size_t>(iy) * ncor + ix],
-                       lat[base + static_cast<std::size_t>(iy) * ncor + ix + 1]),
-              std::min(
-                  lat[base + static_cast<std::size_t>(iy + 1) * ncor + ix],
-                  lat[base + static_cast<std::size_t>(iy + 1) * ncor + ix + 1]));
-        };
-        const std::size_t ei = static_cast<std::size_t>(it) * cell_n +
-                               static_cast<std::size_t>(iy) * nx_ + ix;
-        const std::size_t ei_up = static_cast<std::size_t>(it_up) * cell_n +
-                                  static_cast<std::size_t>(iy) * nx_ + ix;
-        float v = std::min(cen_c[ei], std::min(cen_f[ei], cen_f[ei_up]));
-        v = std::min(v, cor(cor_c, it));
-        v = std::min(v, std::min(cor(cor_f, it), cor(cor_f, it_up)));
-        table_[index(ix, iy, it)] = v;
+  const int bins = spec_.heading_bins;
+  const double res = spec_.xy_resolution;
+  const double hbin = geom::kTwoPi / bins;
+  // The bin heading, the face below bin it and the face above it (= the
+  // face below bin it+1, wrapping). Corner (cx, cy) is the (-res/2, -res/2)
+  // corner of cell (cx, cy), so cell (ix, iy) spans corners ix..ix+1 and
+  // iy..iy+1. Each sample coordinate is computed from its own lattice index
+  // (index times res, then the half-cell offset), never by stepping from a
+  // neighbouring sample, so entries match the eager oracle in
+  // planner_heuristic_test bit for bit.
+  const int it_up = (it + 1) % bins;
+  const double headings[3] = {it * hbin, (it - 0.5) * hbin,
+                              (it_up - 0.5) * hbin};
+  const double xc = (ix - cells_) * res;
+  const double yc = (iy - cells_) * res;
+  float v = std::numeric_limits<float>::infinity();
+  for (const double th : headings) {
+    v = std::min(v, solve(xc, yc, th));
+    for (int cy = iy; cy <= iy + 1; ++cy) {
+      const double yf = (cy - cells_) * res - 0.5 * res;
+      for (int cx = ix; cx <= ix + 1; ++cx) {
+        const double xf = (cx - cells_) * res - 0.5 * res;
+        v = std::min(v, solve(xf, yf, th));
       }
     }
   }
+  return v;
 }
 
 namespace {
@@ -170,7 +126,8 @@ std::shared_ptr<const RsHeuristicLut> RsHeuristicLut::shared(
   std::lock_guard<std::mutex> lock(cache.mutex);
   for (const auto& lut : cache.luts)
     if (lut->spec() == spec) return lut;
-  // Built under the lock: concurrent requests for one spec pay one build.
+  // Construction only allocates (entries fill on first read), so holding
+  // the lock across it is cheap.
   cache.luts.push_back(std::make_shared<const RsHeuristicLut>(spec));
   return cache.luts.back();
 }
@@ -188,16 +145,27 @@ double RsHeuristicLut::value(const geom::Pose2& pose,
 }
 
 double RsHeuristicLut::value_rel(double dx, double dy, double dtheta) const {
-  const int ix = cells_ + static_cast<int>(std::lround(dx / spec_.xy_resolution));
-  if (ix < 0 || ix >= nx_) return 0.0;
-  const int iy = cells_ + static_cast<int>(std::lround(dy / spec_.xy_resolution));
-  if (iy < 0 || iy >= nx_) return 0.0;
+  if (!std::isfinite(dx) || !std::isfinite(dy) || !std::isfinite(dtheta))
+    return 0.0;
+  // Bounds-check in double: converting an off-lattice offset to int first
+  // can overflow and wrap back onto the lattice.
+  const double qx = std::round(dx / spec_.xy_resolution);
+  if (std::abs(qx) > cells_) return 0.0;
+  const double qy = std::round(dy / spec_.xy_resolution);
+  if (std::abs(qy) > cells_) return 0.0;
+  const int ix = cells_ + static_cast<int>(qx);
+  const int iy = cells_ + static_cast<int>(qy);
   const double hbin = geom::kTwoPi / spec_.heading_bins;
   const int it = static_cast<int>(std::lround(geom::wrap_angle_2pi(dtheta) /
                                               hbin)) %
                  spec_.heading_bins;
-  const double v = static_cast<double>(table_[index(ix, iy, it)]) - slack_;
-  return std::max(0.0, v);
+  std::atomic<float>& entry = table_[index(ix, iy, it)];
+  float raw = entry.load(std::memory_order_relaxed);
+  if (raw == kUnfilled) {
+    raw = stencil_min(ix, iy, it);
+    entry.store(raw, std::memory_order_relaxed);
+  }
+  return std::max(0.0, static_cast<double>(raw) - slack_);
 }
 
 double RsHeuristicLut::exact_rel(double dx, double dy, double dtheta) const {

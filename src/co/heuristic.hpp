@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +15,8 @@ namespace icoil::co {
 ///  kEuclidRs — max(euclidean, exact Reeds-Shepp solve) per evaluation: the
 ///              historical heuristic; a full RS word search on every push.
 ///  kLut      — max(euclidean, RsHeuristicLut lookup): the RS term served
-///              from a precomputed goal-relative table, O(1) per eval.
+///              from a goal-relative table, O(1) per eval once the entry
+///              is filled.
 ///  kDijkstra — max(euclidean, DijkstraCostMap cost-to-go): obstacle-aware
 ///              holonomic bound; sees dead ends the RS term cannot.
 ///  kMax      — max of all three terms (LUT + Dijkstra + euclidean): still
@@ -28,8 +30,8 @@ const char* to_string(HeuristicMode mode);
 bool parse_heuristic_mode(const std::string& name, HeuristicMode* out);
 
 /// Cache key of a Reeds-Shepp heuristic table: the RS turning radius plus
-/// the lattice geometry. Tables are immutable once built, so planners with
-/// equal specs share one instance via RsHeuristicLut::shared().
+/// the lattice geometry. An entry's value depends on nothing else, so
+/// planners with equal specs share one instance via RsHeuristicLut::shared().
 struct RsLutSpec {
   double radius = 4.0;         ///< RS turning radius [m]
   double xy_resolution = 0.7;  ///< lattice cell size [m]
@@ -42,18 +44,27 @@ struct RsLutSpec {
   }
 };
 
-/// Precomputed non-holonomic-without-obstacles heuristic: Reeds-Shepp
-/// shortest-path lengths over a goal-relative (dx, dy, dtheta) lattice.
-/// Because the RS metric is left-invariant, one table per (radius, lattice)
-/// serves every (pose, goal) pair: the query transforms into the goal frame
-/// and reads the nearest lattice sample. Admissibility: each entry is the
-/// MINIMUM RS length over a 15-point stencil of its quantization box
-/// (centre, xy-corners, heading-faces), so rounding biases the lookup
-/// downward by construction; value() additionally subtracts slack() — a
-/// small residual margin for dips between stencil samples — and clamps at
-/// zero. (A triangle-inequality slack is unusable here: the RS metric
-/// prices centimetre lateral offsets at whole parking manoeuvres.) Queries
-/// outside the lattice extent return 0 (callers keep the euclidean floor).
+/// Non-holonomic-without-obstacles heuristic: Reeds-Shepp shortest-path
+/// lengths over a goal-relative (dx, dy, dtheta) lattice. Because the RS
+/// metric is left-invariant, one table per (radius, lattice) serves every
+/// (pose, goal) pair: the query transforms into the goal frame and reads the
+/// nearest lattice sample. Admissibility: each entry is the MINIMUM RS
+/// length over a 15-point stencil of its quantization box (centre,
+/// xy-corners, heading-faces), so rounding biases the lookup downward by
+/// construction; value() additionally subtracts slack() — a small residual
+/// margin for dips between stencil samples — and clamps at zero. (A
+/// triangle-inequality slack is unusable here: the RS metric prices
+/// centimetre lateral offsets at whole parking manoeuvres.) Queries outside
+/// the lattice extent, or with a non-finite coordinate, return 0 (callers
+/// keep the euclidean floor).
+///
+/// Entries are filled on first read: construction only allocates the
+/// table, and a read of an unfilled entry solves its stencil (15 RS solves,
+/// tens of µs) and stores the result. A planning pass touches well under 1%
+/// of the lattice, so this replaces a multi-second up-front build. Fills are
+/// relaxed atomic stores of a pure function of the entry, so concurrent
+/// readers may both fill one entry but always store the same bits — reads
+/// are lock-free and independent of thread count and interleaving.
 class RsHeuristicLut {
  public:
   /// Residual admissibility margin as a fraction of the cell size: covers
@@ -62,8 +73,8 @@ class RsHeuristicLut {
 
   explicit RsHeuristicLut(const RsLutSpec& spec);
 
-  /// The process-wide table cache, keyed by spec. Building a table costs a
-  /// few hundred ms; every planner/episode with the same spec shares one.
+  /// The process-wide table cache, keyed by spec: every planner/episode with
+  /// the same spec shares one table, and so every entry it has filled.
   static std::shared_ptr<const RsHeuristicLut> shared(const RsLutSpec& spec);
   static std::size_t shared_cache_size();
 
@@ -72,7 +83,8 @@ class RsHeuristicLut {
   double slack() const { return slack_; }
 
   /// Admissible lower bound on the Reeds-Shepp distance from `pose` to
-  /// `goal` [m]; >= 0, and 0 when the relative pose falls off the lattice.
+  /// `goal` [m]; >= 0, and 0 when the relative pose falls off the lattice
+  /// or is not finite.
   double value(const geom::Pose2& pose, const geom::Pose2& goal) const;
   /// Same bound for an explicit goal-frame relative pose.
   double value_rel(double dx, double dy, double dtheta) const;
@@ -85,11 +97,20 @@ class RsHeuristicLut {
     return (static_cast<std::size_t>(it) * nx_ + iy) * nx_ + ix;
   }
 
+  /// Stencil minimum of entry (ix, iy, it): the RS lengths at the cell
+  /// centre and its four xy-corners, each at the bin heading and both bin
+  /// faces.
+  float stencil_min(int ix, int iy, int it) const;
+
+  /// Marks an entry not yet filled; RS lengths are >= 0.
+  static constexpr float kUnfilled = -1.0f;
+
   RsLutSpec spec_;
   int cells_ = 0;       ///< lattice points per half-axis
   int nx_ = 0;          ///< lattice points per axis (2 * cells_ + 1)
   double slack_ = 0.0;
-  std::vector<float> table_;  ///< RS length [m], x-major within heading slab
+  /// RS stencil minimum [m] or kUnfilled, x-major within heading slab.
+  mutable std::vector<std::atomic<float>> table_;
 };
 
 /// Obstacle-aware holonomic cost-to-go: one 8-connected Dijkstra sweep from

@@ -52,11 +52,14 @@ struct HybridAStarConfig {
   double rs_radius_factor = 1.35;
 
   /// Which lower bound guides the search (see co/heuristic.hpp). kMax — the
-  /// cached RS table max'd with the obstacle-aware Dijkstra sweep — is both
-  /// the cheapest per evaluation and the most informed; kEuclidRs keeps the
-  /// historical exact-RS-per-push behaviour for the ablation.
+  /// shared RS table max'd with the obstacle-aware Dijkstra sweep — is both
+  /// the cheapest per evaluation (a table read once the entry is filled;
+  /// the first read of an entry solves its 15-point stencil) and the most
+  /// informed; kEuclidRs keeps the historical exact-RS-per-push behaviour
+  /// for the ablation.
   HeuristicMode heuristic = HeuristicMode::kMax;
-  /// Lattice of the shared Reeds-Shepp table (see RsLutSpec).
+  /// Lattice of the shared Reeds-Shepp table (see RsLutSpec). Entries fill
+  /// on first read, so a finer or wider lattice costs memory, not set-up.
   double lut_xy_resolution = 0.7;
   /// Beyond the extent the table defers to the euclidean floor — far from
   /// the goal RS length converges to it anyway. 24 m covers every lot.

@@ -9,9 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <queue>
+#include <random>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,8 +37,9 @@
 namespace icoil::co {
 namespace {
 
-// Small spec so the table builds in well under a second; admissibility is a
-// per-entry property, so a small lattice exercises the same construction.
+// Small spec so the eager oracle below builds in well under a second;
+// admissibility is a per-entry property, so a small lattice exercises the
+// same construction.
 RsLutSpec small_spec() {
   RsLutSpec spec;
   spec.radius = 4.0;
@@ -63,6 +70,159 @@ TEST(RsHeuristicLutTest, NonNegativeAndZeroOffLattice) {
   // euclidean floor.
   EXPECT_EQ(lut.value_rel(100.0, 0.0, 0.0), 0.0);
   EXPECT_EQ(lut.value_rel(0.0, -50.0, 2.0), 0.0);
+  // Offsets past the int range must not wrap back onto the lattice, and
+  // non-finite inputs have no cell at all.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(lut.value_rel(1e300, 0.0, geom::kPi), 0.0);
+  EXPECT_EQ(lut.value_rel(0.7 * 4294967296.0, 0.0, geom::kPi), 0.0);
+  EXPECT_EQ(lut.value_rel(0.0, -0.7 * 4294967296.0, geom::kPi), 0.0);
+  EXPECT_EQ(lut.value_rel(nan, 0.0, geom::kPi), 0.0);
+  EXPECT_EQ(lut.value_rel(0.0, inf, geom::kPi), 0.0);
+  EXPECT_EQ(lut.value_rel(3.0, 2.0, nan), 0.0);
+  EXPECT_EQ(lut.value_rel(3.0, 2.0, -inf), 0.0);
+  // The centre cell itself still answers.
+  EXPECT_GT(lut.value_rel(0.0, 0.0, geom::kPi), 0.0);
+}
+
+// The table as an up-front build computes it: four sample lattices
+// (centres / xy-corners, at bin headings / bin faces) min-combined over each
+// entry's 15-point stencil. Entries are laid out like RsHeuristicLut's
+// (x-major within a heading slab) and hold raw stencil minima.
+std::vector<float> eager_table(const RsLutSpec& spec) {
+  const int cells =
+      static_cast<int>(std::ceil(spec.extent / spec.xy_resolution));
+  const int nx = 2 * cells + 1;
+  const int ncor = nx + 1;
+  const int bins = spec.heading_bins;
+  const double res = spec.xy_resolution;
+  const double hbin = geom::kTwoPi / bins;
+  const ReedsShepp rs(spec.radius);
+  const auto solve = [&](double dx, double dy, double dtheta) {
+    const auto path = rs.shortest_path({dx, dy, dtheta}, {0.0, 0.0, 0.0});
+    return path ? static_cast<float>(rs.length(*path)) : 0.0f;
+  };
+  // Flat index of (ix, iy) in heading slab `it` of an n-by-n lattice.
+  const auto flat = [](int n, int it, int iy, int ix) {
+    return (static_cast<std::size_t>(it) * n + iy) * n + ix;
+  };
+  const std::size_t cell_n = static_cast<std::size_t>(nx) * nx * bins;
+  const std::size_t cor_n = static_cast<std::size_t>(ncor) * ncor * bins;
+  std::vector<float> cen_c(cell_n), cen_f(cell_n);
+  std::vector<float> cor_c(cor_n), cor_f(cor_n);
+  for (int it = 0; it < bins; ++it) {
+    const double tc = it * hbin;
+    const double tf = (it - 0.5) * hbin;
+    for (int iy = 0; iy < ncor; ++iy) {
+      const double yc = (iy - cells) * res;
+      const double yf = yc - 0.5 * res;
+      for (int ix = 0; ix < ncor; ++ix) {
+        const double xc = (ix - cells) * res;
+        const double xf = xc - 0.5 * res;
+        const std::size_t ci = flat(ncor, it, iy, ix);
+        cor_c[ci] = solve(xf, yf, tc);
+        cor_f[ci] = solve(xf, yf, tf);
+        if (ix < nx && iy < nx) {
+          const std::size_t ei = flat(nx, it, iy, ix);
+          cen_c[ei] = solve(xc, yc, tc);
+          cen_f[ei] = solve(xc, yc, tf);
+        }
+      }
+    }
+  }
+  std::vector<float> table(cell_n);
+  for (int it = 0; it < bins; ++it) {
+    const int it_up = (it + 1) % bins;
+    for (int iy = 0; iy < nx; ++iy) {
+      for (int ix = 0; ix < nx; ++ix) {
+        const auto cor = [&](const std::vector<float>& lat, int slab) {
+          const std::size_t lo = flat(ncor, slab, iy, ix);
+          const std::size_t hi = flat(ncor, slab, iy + 1, ix);
+          return std::min(std::min(lat[lo], lat[lo + 1]),
+                          std::min(lat[hi], lat[hi + 1]));
+        };
+        const std::size_t ei = flat(nx, it, iy, ix);
+        const std::size_t ei_up = flat(nx, it_up, iy, ix);
+        float v = std::min(cen_c[ei], std::min(cen_f[ei], cen_f[ei_up]));
+        v = std::min(v, cor(cor_c, it));
+        v = std::min(v, std::min(cor(cor_f, it), cor(cor_f, it_up)));
+        table[ei] = v;
+      }
+    }
+  }
+  return table;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(RsHeuristicLutTest, LazyFillBitIdenticalToEagerBuild) {
+  const RsHeuristicLut lut(small_spec());
+  const RsLutSpec& spec = lut.spec();
+  const std::vector<float> eager = eager_table(spec);
+  const int cells =
+      static_cast<int>(std::ceil(spec.extent / spec.xy_resolution));
+  const int nx = 2 * cells + 1;
+  const double hbin = geom::kTwoPi / spec.heading_bins;
+  ASSERT_EQ(eager.size(),
+            static_cast<std::size_t>(nx) * nx * spec.heading_bins);
+
+  // Every lattice point, read in shuffled order so a fill never relies on
+  // its neighbours having been filled first.
+  std::vector<std::size_t> order(eager.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(42));
+  for (const std::size_t e : order) {
+    const int ix = static_cast<int>(e % nx);
+    const int iy = static_cast<int>(e / nx % nx);
+    const int it = static_cast<int>(e / (static_cast<std::size_t>(nx) * nx));
+    const double dx = (ix - cells) * spec.xy_resolution;
+    const double dy = (iy - cells) * spec.xy_resolution;
+    const double want =
+        std::max(0.0, static_cast<double>(eager[e]) - lut.slack());
+    const double got = lut.value_rel(dx, dy, it * hbin);
+    ASSERT_EQ(bits(got), bits(want))
+        << "entry (" << ix << "," << iy << "," << it << "): " << got
+        << " vs eager " << want;
+  }
+}
+
+TEST(RsHeuristicLutTest, ConcurrentFirstReadsMatchSingleThreaded) {
+  math::Rng rng(2024);
+  struct Query {
+    double dx, dy, dth;
+  };
+  std::vector<Query> queries(2000);
+  for (Query& q : queries)
+    q = {rng.uniform(-7.0, 7.0), rng.uniform(-7.0, 7.0),
+         rng.uniform(-geom::kPi, geom::kPi)};
+
+  const RsHeuristicLut reference(small_spec());
+  std::vector<double> want;
+  want.reserve(queries.size());
+  for (const Query& q : queries)
+    want.push_back(reference.value_rel(q.dx, q.dy, q.dth));
+
+  // Four threads race through every query of one fresh table, each from a
+  // different starting offset, so many entries see concurrent first reads.
+  constexpr int kThreads = 4;
+  const RsHeuristicLut shared_lut(small_spec());
+  std::vector<std::vector<double>> got(kThreads,
+                                       std::vector<double>(queries.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      const std::size_t n = queries.size();
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = (k + t * n / kThreads) % n;
+        got[t][i] =
+            shared_lut.value_rel(queries[i].dx, queries[i].dy, queries[i].dth);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      ASSERT_EQ(bits(got[t][i]), bits(want[i]))
+          << "thread " << t << " query " << i;
 }
 
 TEST(RsHeuristicLutTest, SharedCacheReturnsSameTable) {
@@ -238,7 +398,8 @@ TEST(PlannerHeuristicTest, DeterministicAcrossRepeatedRuns) {
 TEST(PlannerHeuristicTest, SuiteBitIdenticalAcrossThreadCountsPerMode) {
   // Suite-level determinism: CO-backed episodes (which plan through hybrid
   // A*) must be bit-identical across worker counts under every heuristic
-  // mode — the caches are per-plan or immutable-shared state, never racy.
+  // mode — the caches are per-plan, or shared RS tables whose entries fill
+  // with the same bits whichever thread reads them first.
   sim::ScenarioSuite suite;
   sim::SuiteCell crowded;
   crowded.generator = "crowded_lot";
