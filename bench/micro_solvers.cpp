@@ -335,7 +335,9 @@ void BM_PolicyForward(benchmark::State& state) {
 BENCHMARK(BM_PolicyForward)->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 // Baseline the batched service competes against: N sequential single-
-// observation infer() calls through the classic per-layer path.
+// observation infer() calls. infer() runs the same GEMM eval kernels on a
+// batch of one, so the gap to BM_PolicyForward/N is what batching itself
+// buys (wider GEMMs, one pass of per-layer dispatch per tick).
 void BM_PolicyInferSequential(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   il::IlPolicy policy{il::IlPolicyConfig(), 42u};

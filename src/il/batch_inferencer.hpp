@@ -35,9 +35,10 @@ struct BatchStats {
 /// into the staging tensor is the gather step), the driver then calls
 /// run_tick() once — a single forward over the packed (N,C,H,W) batch on
 /// shared weights — and each session reads back result(slot). Results are
-/// bit-identical to calling policy.infer() per observation: the eval-path
-/// kernels never reassociate per-element sums (mathkit/gemm.hpp) and every
-/// layer treats batch rows independently.
+/// bit-identical to calling policy.infer() per observation, which runs the
+/// same eval-path kernels on a batch of one: they never reassociate
+/// per-element sums (mathkit/gemm.hpp) and every layer treats batch rows
+/// independently.
 class BatchInferencer {
  public:
   /// `max_batch` caps one forward pass; a tick with more submissions runs

@@ -43,16 +43,8 @@ IlPolicy::IlPolicy(Config config, std::uint64_t init_seed)
   net_.init(rng);
 }
 
-nn::Tensor IlPolicy::to_input(const sense::BevImage& observation) const {
-  assert(observation.size() == config_.bev_size &&
-         observation.channels() == kObservationChannels);
-  return nn::Tensor::from_data(
-      {1, observation.channels(), observation.size(), observation.size()},
-      observation.data());
-}
-
-nn::Tensor IlPolicy::forward_batch(const nn::Tensor& batch, bool training) {
-  return net_.forward(batch, training);
+nn::Tensor IlPolicy::forward_batch(const nn::Tensor& batch) {
+  return net_.forward(batch, /*training=*/true);
 }
 
 const nn::Tensor& IlPolicy::forward_eval(const nn::Tensor& batch,
@@ -71,8 +63,13 @@ Inference IlPolicy::inference_from_logits(const float* logits, int m) {
 }
 
 Inference IlPolicy::infer(const sense::BevImage& observation) {
-  const nn::Tensor logits =
-      net_.forward(to_input(observation), /*training=*/false);
+  assert(observation.size() == config_.bev_size &&
+         observation.channels() == kObservationChannels);
+  const std::vector<float>& src = observation.data();
+  input_.resize({1, observation.channels(), observation.size(),
+                 observation.size()});
+  std::copy(src.begin(), src.end(), input_.data());
+  const nn::Tensor& logits = net_.forward_eval(input_, ws_);
   return inference_from_logits(logits.data(), logits.dim(1));
 }
 

@@ -47,16 +47,22 @@ class IlPolicy {
   nn::Sequential& network() { return net_; }
 
   /// Forward pass on a single observation (use il::make_observation to
-  /// build one from a BEV image and the ego speed).
+  /// build one from a BEV image and the ego speed). Runs the eval path —
+  /// Sequential::forward_eval, GEMM kernels — through an input tensor and a
+  /// workspace this policy owns, so steady-state calls allocate only the
+  /// returned probabilities. Bit-identical to network().forward(x, false).
+  /// Not thread-safe: never call it on one policy from two threads (clone()
+  /// one per thread instead).
   Inference infer(const sense::BevImage& observation);
 
-  /// Forward pass on a prepared batch tensor (N,C,H,W) -> logits (N,M).
-  nn::Tensor forward_batch(const nn::Tensor& batch, bool training);
+  /// Training forward on a prepared batch tensor (N,C,H,W) -> logits (N,M).
+  /// Caches the activations network().backward() needs.
+  nn::Tensor forward_batch(const nn::Tensor& batch);
 
   /// Inference-only batched forward through a caller-owned workspace: routes
   /// every layer through its GEMM/no-allocation kernel and returns a
   /// reference into `ws` (valid until the next call with that workspace).
-  /// Bit-identical to forward_batch(batch, false), row for row.
+  /// Bit-identical to network().forward(batch, false), row for row.
   const nn::Tensor& forward_eval(const nn::Tensor& batch, nn::EvalWorkspace& ws);
 
   /// The post-processing infer() applies to one row of M logits: softmax,
@@ -64,11 +70,8 @@ class IlPolicy {
   /// can scatter logits rows into the exact same Inference records.
   static Inference inference_from_logits(const float* logits, int m);
 
-  /// Convert an observation into the network's input tensor (batch of one).
-  nn::Tensor to_input(const sense::BevImage& observation) const;
-
-  /// Deep copy with identical weights (Sequential is not shareable across
-  /// threads because layers cache forward activations).
+  /// Deep copy with identical weights and a fresh workspace (Sequential is
+  /// not shareable across threads: layers cache activations and scratch).
   std::unique_ptr<IlPolicy> clone() const;
 
   bool save(const std::string& path) { return nn::save_params(net_, path); }
@@ -77,6 +80,8 @@ class IlPolicy {
  private:
   Config config_;
   nn::Sequential net_;
+  nn::Tensor input_;       ///< infer()'s (1,C,H,W) input, reused per call
+  nn::EvalWorkspace ws_;   ///< infer()'s layer buffers, reused per call
 };
 
 }  // namespace icoil::il

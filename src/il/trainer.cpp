@@ -23,10 +23,11 @@ double Trainer::evaluate_accuracy(IlPolicy& policy, const Dataset& dataset,
                                   std::size_t batch_size) {
   if (dataset.empty()) return 0.0;
   std::size_t correct_total = 0;
+  nn::EvalWorkspace ws;
   for (std::size_t begin = 0; begin < dataset.size(); begin += batch_size) {
     const std::size_t count = std::min(batch_size, dataset.size() - begin);
     auto [batch, labels] = dataset.make_batch(begin, count);
-    const nn::Tensor logits = policy.forward_batch(batch, /*training=*/false);
+    const nn::Tensor& logits = policy.forward_eval(batch, ws);
     correct_total += static_cast<std::size_t>(
         nn::CrossEntropyLoss::accuracy(logits, labels) * static_cast<double>(count) +
         0.5);
@@ -95,7 +96,7 @@ TrainReport Trainer::train(IlPolicy& policy, const Dataset& dataset,
               std::min(shard, begin + batch_n > lo ? begin + batch_n - lo : 0);
           if (n == 0) return;
           auto [batch, labels] = train_set.make_batch(lo, n);
-          const nn::Tensor logits = w.forward_batch(batch, /*training=*/true);
+          const nn::Tensor logits = w.forward_batch(batch);
           const auto ce = nn::CrossEntropyLoss::compute(logits, labels);
           w.network().backward(ce.grad);
           results[static_cast<std::size_t>(t)].loss_sum =

@@ -55,7 +55,8 @@ class Trainer {
   TrainReport train(IlPolicy& policy, const Dataset& dataset,
                     ProgressFn progress = nullptr) const;
 
-  /// Accuracy of `policy` on `dataset` (no gradient).
+  /// Accuracy of `policy` on `dataset`, through the same eval path as
+  /// IlPolicy::infer (no gradient, no activation caches).
   static double evaluate_accuracy(IlPolicy& policy, const Dataset& dataset,
                                   std::size_t batch_size = 64);
 

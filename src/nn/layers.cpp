@@ -309,83 +309,85 @@ Tensor Flatten::backward(const Tensor& grad_out) {
 
 Dense::Dense(int in_features, int out_features)
     : in_f_(in_features), out_f_(out_features),
-      weight_({out_features, in_features}), bias_({out_features}) {}
+      weight_({in_features, out_features}), bias_({out_features}) {}
 
 void Dense::init(math::Rng& rng) {
-  // Xavier/Glorot uniform.
+  // Xavier/Glorot uniform. Drawn in (o, i) order so that a seed yields the
+  // same logical weights whatever the storage layout.
   const double limit = std::sqrt(6.0 / (in_f_ + out_f_));
-  for (float& w : weight_.value.vec())
-    w = static_cast<float>(rng.uniform(-limit, limit));
+  float* w = weight_.value.data();
+  for (int o = 0; o < out_f_; ++o)
+    for (int i = 0; i < in_f_; ++i)
+      w[static_cast<std::size_t>(i) * out_f_ + o] =
+          static_cast<float>(rng.uniform(-limit, limit));
   bias_.value.zero();
-  packed_dirty_ = true;
 }
 
+// Reference loop: every output starts at its bias and adds the in-feature
+// terms in ascending order. The inner loop runs across output features, so
+// it reads weight rows contiguously without reassociating any sum.
 Tensor Dense::forward(const Tensor& input, bool training) {
   const int n = input.dim(0);
-  if (training) {
-    cached_input_ = input;
-    // A training forward means an optimizer step is coming: the packed
-    // transpose must be rebuilt before the next forward_eval.
-    packed_dirty_ = true;
-  }
+  if (training) cached_input_ = input;
   Tensor out({n, out_f_});
+  const float* w = weight_.value.data();
   for (int b = 0; b < n; ++b) {
     const float* x = input.data() + static_cast<std::size_t>(b) * in_f_;
-    for (int o = 0; o < out_f_; ++o) {
-      const float* wrow = weight_.value.data() + static_cast<std::size_t>(o) * in_f_;
-      float acc = bias_.value[static_cast<std::size_t>(o)];
-      for (int i = 0; i < in_f_; ++i) acc += wrow[i] * x[i];
-      out.at2(b, o) = acc;
+    float* y = out.data() + static_cast<std::size_t>(b) * out_f_;
+    std::copy(bias_.value.data(), bias_.value.data() + out_f_, y);
+    for (int i = 0; i < in_f_; ++i) {
+      const float xi = x[i];
+      const float* wrow = w + static_cast<std::size_t>(i) * out_f_;
+      for (int o = 0; o < out_f_; ++o) y[o] += wrow[o] * xi;
     }
   }
   return out;
 }
 
-// Inference path: pack W^T once (in_f, out_f) and run one GEMM over the
-// whole batch. Each output element's k-sum runs over in_f in ascending
-// order — the same sequence as the scalar dot loop in forward() — while the
-// kernel vectorizes across output features, so results stay bit-identical.
+// Inference path: one GEMM over the whole batch, straight on the stored
+// (in_f, out_f) weights. Each output element's k-sum runs over in_f in
+// ascending order on top of the bias — the same sequence as forward() —
+// so the two are bit-identical (see mathkit/gemm.hpp).
 void Dense::forward_eval(const Tensor& input, Tensor& out) {
   const int n = input.dim(0);
   out.resize({n, out_f_});
-
-  if (packed_dirty_) {
-    packed_wt_.resize(static_cast<std::size_t>(in_f_) * out_f_);
-    for (int o = 0; o < out_f_; ++o)
-      for (int i = 0; i < in_f_; ++i)
-        packed_wt_[static_cast<std::size_t>(i) * out_f_ + o] =
-            weight_.value[static_cast<std::size_t>(o) * in_f_ + i];
-    packed_dirty_ = false;
-  }
-
   for (int b = 0; b < n; ++b) {
     float* orow = out.data() + static_cast<std::size_t>(b) * out_f_;
     std::copy(bias_.value.data(), bias_.value.data() + out_f_, orow);
   }
   math::gemm_f32(static_cast<std::size_t>(n), static_cast<std::size_t>(out_f_),
                  static_cast<std::size_t>(in_f_), input.data(),
-                 static_cast<std::size_t>(in_f_), packed_wt_.data(),
+                 static_cast<std::size_t>(in_f_), weight_.value.data(),
                  static_cast<std::size_t>(out_f_), out.data(),
                  static_cast<std::size_t>(out_f_), /*accumulate=*/true);
 }
 
+// Zero output gradients contribute nothing: their terms are skipped, not
+// added as zeros. Weight and bias grads accumulate over the batch in row
+// order; each input grad sums its output terms in ascending order.
 Tensor Dense::backward(const Tensor& grad_out) {
   const int n = grad_out.dim(0);
-  packed_dirty_ = true;
   Tensor grad_in({n, in_f_});
+  const float* w = weight_.value.data();
+  float* wgrad = weight_.grad.data();
+  float* bgrad = bias_.grad.data();
   for (int b = 0; b < n; ++b) {
     const float* x = cached_input_.data() + static_cast<std::size_t>(b) * in_f_;
+    const float* g = grad_out.data() + static_cast<std::size_t>(b) * out_f_;
     float* gi = grad_in.data() + static_cast<std::size_t>(b) * in_f_;
-    for (int o = 0; o < out_f_; ++o) {
-      const float g = grad_out.at2(b, o);
-      if (g == 0.0f) continue;
-      bias_.grad[static_cast<std::size_t>(o)] += g;
-      float* wg = weight_.grad.data() + static_cast<std::size_t>(o) * in_f_;
-      const float* wv = weight_.value.data() + static_cast<std::size_t>(o) * in_f_;
-      for (int i = 0; i < in_f_; ++i) {
-        wg[i] += g * x[i];
-        gi[i] += g * wv[i];
+    for (int o = 0; o < out_f_; ++o)
+      if (g[o] != 0.0f) bgrad[o] += g[o];
+    for (int i = 0; i < in_f_; ++i) {
+      const float xi = x[i];
+      const float* wrow = w + static_cast<std::size_t>(i) * out_f_;
+      float* wg = wgrad + static_cast<std::size_t>(i) * out_f_;
+      float acc = 0.0f;
+      for (int o = 0; o < out_f_; ++o) {
+        if (g[o] == 0.0f) continue;
+        wg[o] += g[o] * xi;
+        acc += g[o] * wrow[o];
       }
+      gi[i] = acc;
     }
   }
   return grad_in;

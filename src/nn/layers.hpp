@@ -68,7 +68,13 @@ class Flatten final : public Layer {
   std::vector<int> in_shape_;
 };
 
-/// Fully connected layer: y = x W^T + b.
+/// Fully connected layer: y = x W + b. W is stored (in_features,
+/// out_features), row-major — the B operand of math::gemm_f32 — so
+/// forward_eval runs one GEMM straight on the learnable weights and no
+/// second copy has to be kept in sync after init, load or an optimizer
+/// step. forward() and backward() are the scalar reference loops; every
+/// output element is its bias plus the in-feature terms in ascending order
+/// on both paths, which keeps them bit-identical.
 class Dense final : public Layer {
  public:
   Dense(int in_features, int out_features);
@@ -85,15 +91,10 @@ class Dense final : public Layer {
 
  private:
   int in_f_, out_f_;
-  Param weight_;  ///< (out_f, in_f)
+  /// (in_f, out_f): element i * out_f + o weighs input i into output o.
+  Param weight_;
   Param bias_;    ///< (out_f)
   Tensor cached_input_;
-  // Transposed (in_f, out_f) copy of weight_ for forward_eval's GEMM: the
-  // kernel then vectorizes across output features while each feature's
-  // k-sum stays sequential — the bit-identity requirement. Rebuilt lazily
-  // whenever training may have touched the weights.
-  std::vector<float> packed_wt_;
-  bool packed_dirty_ = true;
 };
 
 /// Row-wise softmax over (N, M) logits. Backward assumes the incoming

@@ -8,8 +8,8 @@
 namespace icoil::nn {
 
 /// Reusable intermediate buffers for Sequential::forward_eval. Own one per
-/// call site (e.g. per batching service) and the inference path stops
-/// allocating once shapes stabilize.
+/// call site (il::IlPolicy keeps one for infer(), each batching service
+/// another) and the inference path stops allocating once shapes stabilize.
 struct EvalWorkspace {
   Tensor ping;
   Tensor pong;
@@ -38,6 +38,9 @@ class Sequential {
     for (auto& l : layers_) l->init(rng);
   }
 
+  /// Per-layer forward. With training=true layers cache what backward()
+  /// needs; with training=false it is the reference the eval path is tested
+  /// against — inference itself goes through forward_eval.
   Tensor forward(const Tensor& input, bool training = false) {
     Tensor x = input;
     for (auto& l : layers_) x = l->forward(x, training);

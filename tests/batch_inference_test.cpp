@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/icoil_controller.hpp"
@@ -9,6 +11,7 @@
 #include "il/batch_inferencer.hpp"
 #include "il/observation.hpp"
 #include "il/policy.hpp"
+#include "il_oracle.hpp"
 #include "sensing/bev.hpp"
 #include "sim/session.hpp"
 #include "world/generators/registry.hpp"
@@ -17,6 +20,9 @@
 
 namespace icoil {
 namespace {
+
+using il::testing::expect_same_inference;
+using il::testing::oracle_infer;
 
 // A freshly initialized policy suffices for the identity contract: nothing
 // below depends on the weights being trained, only on the batched forward
@@ -33,19 +39,6 @@ sense::BevImage observation_for(const il::IlPolicy& policy,
   const sense::BevRasterizer rasterizer(policy.bev_spec());
   const sense::BevImage bev = rasterizer.render(world, scenario.start_pose);
   return il::make_observation(bev, speed);
-}
-
-void expect_same_inference(const il::Inference& batched,
-                           const il::Inference& single, const char* what) {
-  ASSERT_EQ(batched.probs.size(), single.probs.size()) << what;
-  for (std::size_t j = 0; j < single.probs.size(); ++j)
-    EXPECT_EQ(batched.probs[j], single.probs[j]) << what << " prob " << j;
-  EXPECT_EQ(batched.action_class, single.action_class) << what;
-  EXPECT_EQ(batched.entropy, single.entropy) << what;
-  EXPECT_EQ(batched.command.steer, single.command.steer) << what;
-  EXPECT_EQ(batched.command.throttle, single.command.throttle) << what;
-  EXPECT_EQ(batched.command.brake, single.command.brake) << what;
-  EXPECT_EQ(batched.command.reverse, single.command.reverse) << what;
 }
 
 // ------------------------------------------------- batched == single infer
@@ -69,9 +62,11 @@ TEST(BatchInferencerTest, MatchesSingleInferAcrossScenarioFamilies) {
   service.run_tick();
 
   for (std::size_t i = 0; i < observations.size(); ++i) {
+    const std::string what = "obs " + std::to_string(i);
     const il::Inference single = policy.infer(observations[i]);
-    expect_same_inference(service.result(slots[i]), single,
-                          ("obs " + std::to_string(i)).c_str());
+    expect_same_inference(service.result(slots[i]), single, what.c_str());
+    expect_same_inference(single, oracle_infer(policy, observations[i]),
+                          what.c_str());
   }
 }
 
@@ -118,6 +113,62 @@ TEST(BatchInferencerTest, RaggedFinalChunkMatchesSingleInfer) {
 
   for (std::size_t i = 0; i < observations.size(); ++i)
     expect_same_inference(service.result(i), policy.infer(observations[i]),
+                          ("obs " + std::to_string(i)).c_str());
+}
+
+// The batched forward reads the policy's weights on every tick: loading
+// other weights between ticks must show on the next one.
+TEST(BatchInferencerTest, TickFollowsLoad) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "icoil_batch_load.bin").string();
+  il::IlPolicy other(il::IlPolicyConfig(), 7u);
+  ASSERT_TRUE(other.save(path));
+
+  il::IlPolicy policy = make_policy();
+  il::BatchInferencer service(policy, 32);
+  std::vector<sense::BevImage> observations;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    observations.push_back(observation_for(policy, "canonical", seed, 0.2));
+
+  for (const sense::BevImage& obs : observations) service.submit(obs);
+  service.run_tick();
+  ASSERT_TRUE(policy.load(path));
+  for (const sense::BevImage& obs : observations) service.submit(obs);
+  service.run_tick();
+
+  for (std::size_t i = 0; i < observations.size(); ++i)
+    expect_same_inference(service.result(i), oracle_infer(other, observations[i]),
+                          ("obs " + std::to_string(i)).c_str());
+  std::filesystem::remove(path);
+}
+
+// submit() is the entry point worker threads share: concurrent submissions
+// must each land in their own slot and read back their own row.
+TEST(BatchInferencerTest, ConcurrentSubmitsMatchOracle) {
+  il::IlPolicy policy = make_policy();
+  il::BatchInferencer service(policy, 32);
+  constexpr std::size_t kThreads = 4, kPerThread = 6;
+  std::vector<sense::BevImage> observations;
+  for (std::size_t i = 0; i < kThreads * kPerThread; ++i)
+    observations.push_back(observation_for(policy, "canonical", 200 + i,
+                                           0.05 * static_cast<double>(i)));
+
+  std::vector<std::size_t> slots(observations.size());
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      for (std::size_t k = 0; k < kPerThread; ++k) {
+        const std::size_t i = t * kPerThread + k;
+        slots[i] = service.submit(observations[i]);
+      }
+    });
+  for (std::thread& w : workers) w.join();
+  service.run_tick();
+
+  EXPECT_EQ(service.stats().requests, observations.size());
+  for (std::size_t i = 0; i < observations.size(); ++i)
+    expect_same_inference(service.result(slots[i]),
+                          oracle_infer(policy, observations[i]),
                           ("obs " + std::to_string(i)).c_str());
 }
 

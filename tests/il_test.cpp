@@ -2,14 +2,21 @@
 
 #include <cmath>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "il/action.hpp"
 #include "il/dataset.hpp"
 #include "il/policy.hpp"
 #include "il/trainer.hpp"
+#include "il_oracle.hpp"
+#include "nn/loss.hpp"
 
 namespace icoil::il {
 namespace {
+
+using testing::expect_same_inference;
+using testing::oracle_infer;
 
 // ----------------------------------------------------------- discretizer
 
@@ -171,6 +178,25 @@ TEST(PolicyTest, SaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
+// infer() runs the GEMM eval path on the policy's own buffers; it must match
+// the per-layer forward(x, false) oracle right after the weights change
+// underneath it.
+TEST(PolicyTest, InferFollowsLoad) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "icoil_policy_reload.bin").string();
+  IlPolicy other(tiny_config(), 99);
+  ASSERT_TRUE(other.save(path));
+  IlPolicy policy(tiny_config(), 11);
+  const auto obs = random_obs(16, 6);
+  const Inference before = policy.infer(obs);
+  ASSERT_TRUE(policy.load(path));
+  const Inference after = policy.infer(obs);
+  expect_same_inference(after, oracle_infer(policy, obs), "after load");
+  expect_same_inference(after, oracle_infer(other, obs), "loaded weights");
+  EXPECT_NE(after.probs, before.probs);
+  std::filesystem::remove(path);
+}
+
 TEST(PolicyTest, BevSpecMatchesConfig) {
   IlPolicy policy(tiny_config());
   EXPECT_EQ(policy.bev_spec().size, 16);
@@ -226,20 +252,24 @@ TEST(DatasetTest, MakeBatchShapesAndLabels) {
 
 // --------------------------------------------------------------- trainer
 
-TEST(TrainerTest, LearnsSyntheticMapping) {
-  // Observation encodes the label geometrically: a bright row per class.
+/// Observation encodes the label geometrically: a bright row for each of
+/// four classes, plus mild noise.
+Dataset make_row_dataset(int n) {
   Dataset d;
   math::Rng rng(7);
-  for (int i = 0; i < 240; ++i) {
-    const int label = i % 4;  // use 4 distinct classes
+  for (int i = 0; i < n; ++i) {
+    const int label = i % 4;
     sense::BevImage img(kObservationChannels, 16);
     for (int c = 0; c < 16; ++c) img.at(0, label * 4 + 1, c) = 1.0f;
-    // mild noise
     for (int k = 0; k < 8; ++k)
       img.at(1, rng.uniform_int(0, 15), rng.uniform_int(0, 15)) = 1.0f;
     d.add({std::move(img), label});
   }
+  return d;
+}
 
+TEST(TrainerTest, LearnsSyntheticMapping) {
+  const Dataset d = make_row_dataset(240);
   IlPolicy policy(tiny_config(), 3);
   TrainConfig cfg;
   cfg.epochs = 8;
@@ -277,6 +307,52 @@ TEST(TrainerTest, ThreadCountsAgreeOnResultQuality) {
   // Far above 1/3 chance on three classes, for any thread count.
   EXPECT_GT(acc1, 0.6);
   EXPECT_GT(acc4, 0.6);
+}
+
+TEST(TrainerTest, InferAfterTrainingMatchesForwardOracle) {
+  const Dataset d = make_row_dataset(96);
+  IlPolicy policy(tiny_config(), 3);
+  const Inference before = policy.infer(d[0].observation);
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.learning_rate = 3e-3;
+  cfg.num_threads = 2;
+  Trainer(cfg).train(policy, d);
+  for (std::size_t i = 0; i < 8; ++i)
+    expect_same_inference(policy.infer(d[i].observation),
+                          oracle_infer(policy, d[i].observation),
+                          ("sample " + std::to_string(i)).c_str());
+  EXPECT_NE(policy.infer(d[0].observation).probs, before.probs);
+}
+
+// The per-epoch validation accuracy runs the eval path on the trained
+// weights; recount it with the forward(x, false) oracle on the same split.
+TEST(TrainerTest, ValAccuracyMatchesForwardOracle) {
+  const Dataset d = make_row_dataset(160);
+  TrainConfig cfg;
+  cfg.epochs = 3;
+  cfg.learning_rate = 3e-3;
+  cfg.num_threads = 2;
+  cfg.validation_fraction = 0.25;
+  // Trainer::train's split: shuffle a copy with shuffle_seed, then split.
+  Dataset shuffled = d;
+  math::Rng rng(cfg.shuffle_seed);
+  shuffled.shuffle(rng);
+  const Dataset val = shuffled.split(cfg.validation_fraction).second;
+  ASSERT_EQ(val.size(), 40u);
+
+  IlPolicy policy(tiny_config(), 3);
+  policy.infer(d[0].observation);  // eval path warm before training
+  std::vector<double> reported, oracle;
+  Trainer(cfg).train(policy, d, [&](const EpochStats& e) {
+    reported.push_back(e.val_accuracy);
+    auto [batch, labels] = val.make_batch(0, val.size());
+    const nn::Tensor logits = policy.network().forward(batch, false);
+    oracle.push_back(nn::CrossEntropyLoss::accuracy(logits, labels));
+  });
+  ASSERT_EQ(reported.size(), 3u);
+  EXPECT_EQ(reported, oracle);
+  EXPECT_GT(reported.back(), reported.front());
 }
 
 TEST(TrainerTest, EmptyDatasetIsNoop) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -358,6 +362,87 @@ TEST(SerializeTest, LoadRejectsArchitectureMismatch) {
 TEST(SerializeTest, LoadRejectsMissingFile) {
   Sequential a = make_mlp(2, 2, 2);
   EXPECT_FALSE(load_params(a, "/nonexistent/path/net.bin"));
+  EXPECT_FALSE(load_params(
+      a, std::filesystem::temp_directory_path().string()));  // a directory
+}
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream f(path, std::ios::binary);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<std::vector<float>> snapshot(Sequential& net) {
+  std::vector<std::vector<float>> out;
+  for (Param* p : net.params()) out.push_back(p->value.vec());
+  return out;
+}
+
+void expect_bit_identical(const std::vector<std::vector<float>>& a,
+                          const std::vector<std::vector<float>>& b,
+                          const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    ASSERT_EQ(a[k].size(), b[k].size()) << what << " param " << k;
+    EXPECT_EQ(std::memcmp(a[k].data(), b[k].data(), a[k].size() * sizeof(float)),
+              0)
+        << what << " param " << k;
+  }
+}
+
+// A rejected file must leave every weight untouched: a half-loaded network
+// would pass for a trained one while mixing two weight sets.
+TEST(SerializeTest, RejectedLoadLeavesWeightsUntouched) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string good = (dir / "icoil_nn_good.bin").string();
+  const std::string bad = (dir / "icoil_nn_corrupt.bin").string();
+  Sequential a = make_mlp(3, 5, 2);
+  math::Rng rng(7);
+  a.init(rng);
+  ASSERT_TRUE(save_params(a, good));
+  const std::vector<char> bytes = read_bytes(good);
+  ASSERT_GT(bytes.size(), 8u);
+
+  Sequential b = make_mlp(3, 5, 2);
+  math::Rng rng2(123);
+  b.init(rng2);
+  const auto before = snapshot(b);
+
+  // Every layer but the last payload float is intact.
+  write_bytes(bad, {bytes.begin(), bytes.end() - 4});
+  EXPECT_FALSE(load_params(b, bad));
+  expect_bit_identical(before, snapshot(b), "truncated");
+
+  // Same first layer, different output width: the mismatch is in the last
+  // two tensors, after the first layer's payload.
+  Sequential wide = make_mlp(3, 5, 3);
+  wide.init(rng);
+  ASSERT_TRUE(save_params(wide, bad));
+  EXPECT_FALSE(load_params(b, bad));
+  expect_bit_identical(before, snapshot(b), "wrong last shape");
+
+  std::vector<char> trailing = bytes;
+  trailing.push_back('\0');
+  write_bytes(bad, trailing);
+  EXPECT_FALSE(load_params(b, bad));
+  expect_bit_identical(before, snapshot(b), "trailing bytes");
+
+  // Format 1 stored Dense weights (out, in); its magic must not load.
+  std::vector<char> old_magic = bytes;
+  const std::uint32_t v1 = 0x1C011A11u;
+  std::memcpy(old_magic.data(), &v1, sizeof(v1));
+  write_bytes(bad, old_magic);
+  EXPECT_FALSE(load_params(b, bad));
+  expect_bit_identical(before, snapshot(b), "old magic");
+
+  ASSERT_TRUE(load_params(b, good));
+  expect_bit_identical(snapshot(a), snapshot(b), "good file");
+  std::filesystem::remove(good);
+  std::filesystem::remove(bad);
 }
 
 // ---------------------------------------------------- forward_eval parity
@@ -414,17 +499,41 @@ TEST(EvalPathTest, EachLayerMatchesForward) {
   expect_eval_matches_forward(softmax, rows, "softmax");
 }
 
-TEST(EvalPathTest, DenseRepacksAfterTrainingStep) {
+// Dense stores W as (in, out): element i * out + o couples input i to
+// output o. init draws the logical weights in (o, i) order, so a seed builds
+// the same network whatever the storage layout.
+TEST(EvalPathTest, DenseWeightLayoutAndInitOrder) {
+  Dense dense(3, 4);
+  math::Rng rng(5), expect(5);
+  dense.init(rng);
+  const Tensor& w = dense.params()[0]->value;
+  ASSERT_EQ(w.shape(), (std::vector<int>{3, 4}));
+  const double limit = std::sqrt(6.0 / (3 + 4));
+  for (int o = 0; o < 4; ++o)
+    for (int i = 0; i < 3; ++i)
+      EXPECT_EQ(w[static_cast<std::size_t>(i) * 4 + o],
+                static_cast<float>(expect.uniform(-limit, limit)))
+          << "o " << o << " i " << i;
+
+  for (Param* p : dense.params()) p->value.zero();
+  dense.params()[0]->value[2 * 4 + 1] = 3.0f;  // input 2 -> output 1
+  const Tensor x = Tensor::from_data({1, 3}, {0.0f, 0.0f, 2.0f});
+  const Tensor y = dense.forward(x, false);
+  EXPECT_EQ(y[1], 6.0f);
+  EXPECT_EQ(y[0] + y[2] + y[3], 0.0f);
+}
+
+// forward_eval reads the learnable weights themselves, so any change to
+// them — an optimizer step, a load — shows on the next eval call.
+TEST(EvalPathTest, DenseEvalFollowsWeightUpdates) {
   math::Rng rng(5);
   Dense dense(8, 4);
   dense.init(rng);
   Tensor in = random_tensor({2, 8}, rng);
 
   Tensor out;
-  dense.forward_eval(in, out);  // packs the transposed weights
+  dense.forward_eval(in, out);
 
-  // Perturb the weights the way training would (forward+backward), then
-  // eval again: the pack must be refreshed, not stale.
   Tensor up = dense.forward(in, true);
   Tensor grad(up.shape());
   for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = 0.25f;
@@ -436,6 +545,26 @@ TEST(EvalPathTest, DenseRepacksAfterTrainingStep) {
   const Tensor ref = dense.forward(in, false);
   dense.forward_eval(in, out);
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(out[i], ref[i]);
+}
+
+TEST(EvalPathTest, SequentialEvalFollowsLoad) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "icoil_nn_eval_load.bin").string();
+  Sequential a = make_mlp(6, 6, 6);  // square layers
+  Sequential b = make_mlp(6, 6, 6);
+  math::Rng ra(1), rb(2);
+  a.init(ra);
+  b.init(rb);
+  ASSERT_TRUE(save_params(b, path));
+
+  const Tensor in = random_tensor({3, 6}, ra);
+  EvalWorkspace ws;
+  (void)a.forward_eval(in, ws);
+  ASSERT_TRUE(load_params(a, path));
+  const Tensor ref = b.forward(in, false);
+  const Tensor& out = a.forward_eval(in, ws);
+  for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(out[i], ref[i]) << i;
+  std::filesystem::remove(path);
 }
 
 TEST(EvalPathTest, SequentialMatchesForwardThroughWorkspace) {
