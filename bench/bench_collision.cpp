@@ -13,7 +13,8 @@
 //      construction and any mismatch is a bug, not noise.
 //
 // A final parity gate repeats (3) on the canonical scenario (the CI smoke
-// gate). Results land in the `collision` block of a sim::RunReport.
+// gate). Results land in the `collision` table of a sim::RunReport, one row
+// per (generator, density).
 //
 // Usage:
 //   bench_collision [options]
@@ -48,6 +49,7 @@
 
 namespace {
 
+using icoil::bench::number_key;
 using icoil::bench::parse_double_arg;
 using icoil::bench::parse_int_arg;
 
@@ -219,9 +221,12 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kPoseSeed = 99;
   constexpr std::uint64_t kEpisodeSeed = 1000;
 
-  sim::CollisionStats stats;
-  stats.generator = "crowded_lot";
-  stats.grid_resolution = resolution;
+  sim::MetricsTable stats(
+      "collision", {"generator", "density"},
+      {"grid_resolution", "obstacles", "analytic_qps", "grid_qps", "speedup",
+       "analytic_episode_seconds", "grid_episode_seconds",
+       "clearance_err_mean", "clearance_err_max", "episodes",
+       "verdicts_match"});
 
   bool all_verdicts_match = true;
   math::TextTable table({"density", "obstacles", "analytic q/s", "grid q/s",
@@ -274,30 +279,24 @@ int main(int argc, char** argv) {
         scenario, world::CollisionBackend::kGrid, resolution, episodes,
         kEpisodeSeed);
 
-    sim::CollisionDensityRow row;
-    row.density = density;
-    row.obstacles = statics;
-    row.analytic_qps = a.qps;
-    row.grid_qps = g.qps;
-    row.speedup = a.qps > 0.0 ? g.qps / a.qps : 0.0;
-    row.analytic_episode_seconds = ea.mean_seconds;
-    row.grid_episode_seconds = eg.mean_seconds;
-    row.clearance_err_mean = err_n > 0 ? err_sum / err_n : 0.0;
-    row.clearance_err_max = err_max;
-    row.episodes = episodes;
-    row.verdicts_match = bound_ok && ea.outcomes == eg.outcomes;
-    all_verdicts_match = all_verdicts_match && row.verdicts_match;
-    stats.rows.push_back(row);
+    const double speedup = a.qps > 0.0 ? g.qps / a.qps : 0.0;
+    const double err_mean = err_n > 0 ? err_sum / err_n : 0.0;
+    const bool verdicts_match = bound_ok && ea.outcomes == eg.outcomes;
+    all_verdicts_match = all_verdicts_match && verdicts_match;
+    stats.add_row({"crowded_lot", number_key(density)},
+                  {resolution, double(statics), a.qps, g.qps, speedup,
+                   ea.mean_seconds, eg.mean_seconds, err_mean, err_max,
+                   double(episodes), verdicts_match ? 1.0 : 0.0});
 
     table.add_row({math::format_double(density, 1), std::to_string(statics),
                    math::format_double(a.qps, 0),
                    math::format_double(g.qps, 0),
-                   math::format_double(row.speedup, 2) + "x",
+                   math::format_double(speedup, 2) + "x",
                    math::format_double(ea.mean_seconds, 3),
                    math::format_double(eg.mean_seconds, 3),
-                   math::format_double(row.clearance_err_mean, 3),
-                   math::format_double(row.clearance_err_max, 3),
-                   row.verdicts_match ? "match" : "MISMATCH"});
+                   math::format_double(err_mean, 3),
+                   math::format_double(err_max, 3),
+                   verdicts_match ? "match" : "MISMATCH"});
     std::fprintf(stderr, "[collision] density %.1fx done (%d statics)\n",
                  density, statics);
   }
@@ -337,7 +336,7 @@ int main(int argc, char** argv) {
     eval_config.base_seed = kEpisodeSeed;
     eval_config.sim.grid_resolution = resolution;
     report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
-    report.collision = stats;
+    report.tables.push_back(stats);
     std::string error;
     if (!report.save(report_path, &error)) {
       std::fprintf(stderr, "bench_collision: %s\n", error.c_str());

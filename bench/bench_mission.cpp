@@ -10,10 +10,13 @@
 //      MissionResult fingerprints must match the wide pool's bit-for-bit.
 //   2. --quick (CI smoke): contested_lot rows must average >= 3 legs per
 //      mission and force >= 1 replan — the template's reason to exist.
-//   3. --baseline PATH: sim::compare_to_baseline over the mission rows
-//      (success-ratio drop and replans-per-mission drift tolerances).
+//   3. --baseline PATH: sim::compare_to_baseline over the `mission` table,
+//      with per-column gates on success_ratio (max drop) and
+//      replans_per_mission (max |delta|). Rows are keyed by template,
+//      method and template fingerprint, so an edited template shows up as
+//      a row missing from the baseline until it is re-recorded.
 //
-// Results land in the `mission` block of a sim::RunReport (schema v2).
+// Results land in the `mission` table of a sim::RunReport.
 //
 // Usage:
 //   bench_mission [options]
@@ -127,7 +130,8 @@ int main(int argc, char** argv) {
   int threads = 0;
   std::string report_path;
   std::string baseline_path;
-  sim::BaselineTolerance tolerance;
+  double success_tol = 0.02;
+  double replan_tol = 0.5;
   bool quick = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -166,13 +170,12 @@ int main(int argc, char** argv) {
       baseline_path = v;
     } else if (arg == "--success-tol") {
       const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &tolerance.mission_success_drop) ||
-          tolerance.mission_success_drop < 0.0)
+      if (v == nullptr || !parse_double_arg(v, &success_tol) ||
+          success_tol < 0.0)
         return usage(argv[0]);
     } else if (arg == "--replan-tol") {
       const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &tolerance.mission_replan_delta) ||
-          tolerance.mission_replan_delta < 0.0)
+      if (v == nullptr || !parse_double_arg(v, &replan_tol) || replan_tol < 0.0)
         return usage(argv[0]);
     } else if (arg == "--list-templates") {
       for (const std::string& name : mission::MissionRegistry::instance().names()) {
@@ -248,19 +251,23 @@ int main(int argc, char** argv) {
   }
 
   // Fold template-major rows.
-  sim::MissionStats stats;
+  sim::MetricsTable stats(
+      "mission", {"mission", "method", "spec_fingerprint"},
+      {"missions", "succeeded", "success_ratio", "legs", "legs_per_mission",
+       "replans", "replans_per_mission", "collisions", "timeouts",
+       "park_time_p50", "park_time_p95", "exit_time_p50", "exit_time_p95",
+       "wall_seconds_mean"});
   math::TextTable table({"template", "method", "missions", "success", "legs/m",
                          "replans/m", "collisions", "timeouts", "park p50 [s]",
-                         "exit p50 [s]", "wall mean [s]"});
+                         "exit p50 [s]", "wall mean [s]", "results digest"});
   bool quick_gate_ok = true;
   for (std::size_t t = 0; t < templates.size(); ++t) {
-    sim::MissionTemplateRow row;
-    row.mission = templates[t];
-    row.method = method;
-    row.missions = missions;
-    row.spec_fingerprint =
+    const std::uint64_t spec_fingerprint =
         mission::MissionRegistry::instance().at(templates[t]).fingerprint();
+    // The digest of every per-mission fingerprint in seed order: two runs of
+    // one build, seeds and template print the same value at any width.
     math::Fnv1a digest;
+    int succeeded = 0, legs = 0, replans = 0, collisions = 0, timeouts = 0;
     std::vector<double> park_times, exit_times;
     double wall_total = 0.0;
     for (int m = 0; m < missions; ++m) {
@@ -268,13 +275,13 @@ int main(int argc, char** argv) {
           wide[t * static_cast<std::size_t>(missions) +
                static_cast<std::size_t>(m)];
       digest.add_int(static_cast<std::int64_t>(r.fingerprint()));
-      row.succeeded += r.success ? 1 : 0;
-      row.legs += static_cast<int>(r.legs.size());
-      row.replans += r.replans;
+      succeeded += r.success ? 1 : 0;
+      legs += static_cast<int>(r.legs.size());
+      replans += r.replans;
       for (const mission::LegResult& leg : r.legs) {
         if (leg.status != mission::LegStatus::kFailed) continue;
-        if (leg.outcome == sim::Outcome::kCollision) ++row.collisions;
-        if (leg.outcome == sim::Outcome::kTimeout) ++row.timeouts;
+        if (leg.outcome == sim::Outcome::kCollision) ++collisions;
+        if (leg.outcome == sim::Outcome::kTimeout) ++timeouts;
       }
       if (r.success) {
         park_times.push_back(r.park_time);
@@ -282,40 +289,43 @@ int main(int argc, char** argv) {
       }
       wall_total += r.wall_seconds;
     }
-    row.success_ratio =
-        static_cast<double>(row.succeeded) / static_cast<double>(missions);
-    row.legs_per_mission =
-        static_cast<double>(row.legs) / static_cast<double>(missions);
-    row.replans_per_mission =
-        static_cast<double>(row.replans) / static_cast<double>(missions);
-    row.park_time_p50 = percentile(park_times, 0.50);
-    row.park_time_p95 = percentile(park_times, 0.95);
-    row.exit_time_p50 = percentile(exit_times, 0.50);
-    row.exit_time_p95 = percentile(exit_times, 0.95);
-    row.wall_seconds_mean = wall_total / static_cast<double>(missions);
-    row.result_fingerprint = digest.value();
+    const double n = static_cast<double>(missions);
+    const double legs_per_mission = legs / n;
+    const double replans_per_mission = replans / n;
+    const double wall_mean = wall_total / n;
+    const double park_p50 = percentile(park_times, 0.50);
+    const double exit_p50 = percentile(exit_times, 0.50);
 
     // Quick gate: the contested template must actually contest — multi-leg
     // missions with at least one forced replan.
-    if (quick && row.mission == "contested_lot" &&
-        (row.legs_per_mission < 3.0 || row.replans < 1)) {
+    if (quick && templates[t] == "contested_lot" &&
+        (legs_per_mission < 3.0 || replans < 1)) {
       quick_gate_ok = false;
       std::fprintf(stderr,
                    "[mission] QUICK GATE FAIL %s: legs/mission %.1f "
                    "(need >= 3), replans %d (need >= 1)\n",
-                   row.mission.c_str(), row.legs_per_mission, row.replans);
+                   templates[t].c_str(), legs_per_mission, replans);
     }
 
-    table.add_row({row.mission, row.method, std::to_string(row.missions),
-                   math::format_double(row.success_ratio, 2),
-                   math::format_double(row.legs_per_mission, 1),
-                   math::format_double(row.replans_per_mission, 2),
-                   std::to_string(row.collisions),
-                   std::to_string(row.timeouts),
-                   math::format_double(row.park_time_p50, 1),
-                   math::format_double(row.exit_time_p50, 1),
-                   math::format_double(row.wall_seconds_mean, 1)});
-    stats.rows.push_back(std::move(row));
+    char spec_hex[17], digest_hex[17];
+    std::snprintf(spec_hex, sizeof(spec_hex), "%016llx",
+                  static_cast<unsigned long long>(spec_fingerprint));
+    std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
+                  static_cast<unsigned long long>(digest.value()));
+    stats.add_row({templates[t], method, spec_hex},
+                  {n, double(succeeded), succeeded / n, double(legs),
+                   legs_per_mission, double(replans), replans_per_mission,
+                   double(collisions), double(timeouts),
+                   park_p50, percentile(park_times, 0.95), exit_p50,
+                   percentile(exit_times, 0.95), wall_mean});
+    table.add_row({templates[t], method, std::to_string(missions),
+                   math::format_double(succeeded / n, 2),
+                   math::format_double(legs_per_mission, 1),
+                   math::format_double(replans_per_mission, 2),
+                   std::to_string(collisions), std::to_string(timeouts),
+                   math::format_double(park_p50, 1),
+                   math::format_double(exit_p50, 1),
+                   math::format_double(wall_mean, 1), digest_hex});
   }
 
   std::printf("\nMission benchmark — %d missions/template, method %s, base "
@@ -334,7 +344,7 @@ int main(int argc, char** argv) {
   eval_config.episodes = missions;
   eval_config.base_seed = seed;
   report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
-  report.mission = stats;
+  report.tables.push_back(stats);
 
   if (!report_path.empty()) {
     std::string error;
@@ -355,6 +365,12 @@ int main(int argc, char** argv) {
                    error.c_str());
       return 3;
     }
+    sim::BaselineTolerance tolerance;
+    tolerance.gates = {
+        {"mission", "success_ratio", sim::ColumnGate::Kind::kMaxDrop,
+         success_tol},
+        {"mission", "replans_per_mission", sim::ColumnGate::Kind::kMaxAbsDelta,
+         replan_tol}};
     const sim::BaselineVerdict verdict =
         sim::compare_to_baseline(report, baseline, tolerance);
     std::printf("\n%s\n", verdict.summary().c_str());

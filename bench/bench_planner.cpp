@@ -15,8 +15,9 @@
 //   3. Deadline-hit rate: an optional second pass re-plans each scenario
 //      under a core::FrameContext budget and counts tripped frames.
 //
-// Results land in the `planner` block of a sim::RunReport; `speedup` is
-// each mode's mean plan time relative to the legacy planner on the cell.
+// Results land in the `planner` table of a sim::RunReport, one row per
+// (generator, density, heuristic); `speedup` is each mode's mean plan time
+// relative to the legacy planner on the cell.
 //
 // Usage:
 //   bench_planner [options]
@@ -95,8 +96,23 @@ Problem make_problem(const icoil::world::Scenario& scenario) {
   return p;
 }
 
+/// One heuristic mode's measurements on one (family, density) cell.
+struct ModeRow {
+  std::string heuristic;         ///< co::to_string(HeuristicMode) or legacy
+  int plans = 0;                 ///< scenarios attempted
+  int solved = 0;
+  double plan_ms_mean = 0.0;
+  double plan_ms_max = 0.0;
+  double expansions_mean = 0.0;  ///< nodes popped per plan
+  double rs_shots_mean = 0.0;    ///< analytic expansions tried per plan
+  double path_cost_mean = 0.0;   ///< solution cost per solved plan
+  double speedup = 0.0;          ///< legacy plan_ms_mean / this mode's
+  double deadline_ms = 0.0;      ///< budgeted pass frame deadline (0 = off)
+  int deadline_hits = 0;         ///< budgeted plans that tripped the frame
+};
+
 struct ModeResult {
-  icoil::sim::PlannerFamilyRow row;
+  ModeRow row;
   std::vector<bool> solved;  ///< per problem index
 };
 
@@ -336,7 +352,11 @@ int main(int argc, char** argv) {
       co::HeuristicMode::kEuclidRs, co::HeuristicMode::kLut,
       co::HeuristicMode::kDijkstra, co::HeuristicMode::kMax};
 
-  sim::PlannerStats stats;
+  sim::MetricsTable stats(
+      "planner", {"generator", "density", "heuristic"},
+      {"plans", "solved", "plan_ms_mean", "plan_ms_max", "expansions_mean",
+       "rs_shots_mean", "path_cost_mean", "speedup", "deadline_ms",
+       "deadline_hits"});
   bool parity_ok = true;
   math::TextTable table({"family", "density", "heuristic", "solved",
                          "plan [ms]", "max [ms]", "expansions", "rs shots",
@@ -358,10 +378,13 @@ int main(int argc, char** argv) {
         problems.push_back(make_problem(
             world::make_scenario(cell.options(), kScenarioSeed + s)));
 
-      auto emit = [&](ModeResult& r, bool is_reference) {
-        r.row.generator = family;
-        r.row.density = density;
-        stats.rows.push_back(r.row);
+      auto emit = [&](const ModeResult& r, bool is_reference) {
+        const ModeRow& m = r.row;
+        stats.add_row({family, bench::number_key(density), m.heuristic},
+                      {double(m.plans), double(m.solved), m.plan_ms_mean,
+                       m.plan_ms_max, m.expansions_mean, m.rs_shots_mean,
+                       m.path_cost_mean, m.speedup, m.deadline_ms,
+                       double(m.deadline_hits)});
         table.add_row(
             {family, math::format_double(density, 1), r.row.heuristic,
              std::to_string(r.row.solved) + "/" + std::to_string(r.row.plans),
@@ -433,7 +456,7 @@ int main(int argc, char** argv) {
     eval_config.episodes = plans;
     eval_config.base_seed = kScenarioSeed;
     report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
-    report.planner = stats;
+    report.tables.push_back(stats);
     std::string error;
     if (!report.save(report_path, &error)) {
       std::fprintf(stderr, "bench_planner: %s\n", error.c_str());

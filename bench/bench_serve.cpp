@@ -9,6 +9,10 @@
 // reports frames/sec and tail latency vs. load, flagging the saturation
 // knee (the last level whose throughput still grew meaningfully).
 //
+// The report records one row per completed load level in its `serve` and
+// `serve_latency` tables (plus `serve_tuning` / `serve_batching` when the
+// tuner or the batched service ran), keyed by method and offered load.
+//
 // Ctrl-C is clean: SIGINT trips a shared core::CancelToken that every
 // session polls, episodes end as budget_exceeded, and the partial report —
 // containing the load levels completed so far — is written (meta.aborted)
@@ -58,6 +62,7 @@
 #include "mathkit/gemm.hpp"
 #include "mathkit/table.hpp"
 #include "serve/frontend.hpp"
+#include "sim/report.hpp"
 
 namespace {
 
@@ -107,7 +112,7 @@ bool parse_session_levels(const char* text, std::vector<int>* out) {
 }
 
 void print_single_run(const serve::FrontendResult& r) {
-  const sim::ServeStats& stats = r.stats;
+  const serve::ServeStats& stats = r.stats;
   math::TextTable table({"metric", "value"});
   table.add_row({"sessions offered", std::to_string(stats.offered)});
   table.add_row({"admitted", std::to_string(stats.admitted)});
@@ -124,7 +129,7 @@ void print_single_run(const serve::FrontendResult& r) {
   table.add_row({"queue p99 [ms]", math::format_double(stats.queue.p99_ms, 2)});
   table.add_row({"deadline hits", std::to_string(stats.deadline_hits)});
   if (stats.tuning.has_value()) {
-    const sim::ServeStats::Tuning& t = *stats.tuning;
+    const serve::ServeStats::Tuning& t = *stats.tuning;
     table.add_row({"tuned deadline min [ms]",
                    math::format_double(t.deadline_min_ms, 2)});
     table.add_row({"tuned deadline mean [ms]",
@@ -133,7 +138,7 @@ void print_single_run(const serve::FrontendResult& r) {
                    math::format_double(t.deadline_max_ms, 2)});
   }
   if (stats.batching.has_value()) {
-    const sim::ServeStats::Batching& b = *stats.batching;
+    const serve::ServeStats::Batching& b = *stats.batching;
     table.add_row({"batch ticks", std::to_string(b.ticks)});
     table.add_row({"mean batch", math::format_double(b.mean_batch, 2)});
     table.add_row({"max batch", std::to_string(b.max_batch)});
@@ -148,12 +153,12 @@ void print_single_run(const serve::FrontendResult& r) {
   table.print(std::cout);
 }
 
-void print_sweep(const std::vector<sim::ServeLoadLevel>& levels,
+void print_sweep(const std::vector<serve::ServeLoadLevel>& levels,
                  int knee_offered) {
   math::TextTable table({"offered", "admitted", "shed", "frames", "frames/sec",
                          "p50 [ms]", "p99 [ms]", "queue p99 [ms]",
                          "deadline hits", "knee"});
-  for (const sim::ServeLoadLevel& level : levels)
+  for (const serve::ServeLoadLevel& level : levels)
     table.add_row({std::to_string(level.offered),
                    std::to_string(level.admitted), std::to_string(level.shed),
                    std::to_string(level.frames),
@@ -171,6 +176,58 @@ void print_sweep(const std::vector<sim::ServeLoadLevel>& levels,
   else if (!levels.empty())
     std::printf("\nno saturation knee observed: throughput still scaled at "
                 "offered load %d\n", levels.back().offered);
+}
+
+/// Fills the report's serve tables from the completed levels' stats;
+/// `levels` is the parallel sweep view that carries the knee flag.
+void add_serve_tables(sim::RunReport& report,
+                      const std::vector<serve::ServeStats>& runs,
+                      const std::vector<serve::ServeLoadLevel>& levels) {
+  sim::MetricsTable serve(
+      "serve", {"method", "offered"},
+      {"admitted", "queued", "shed", "threads", "frames", "wall_seconds",
+       "frames_per_second", "frame_deadline_ms", "deadline_hits",
+       "warmup_frames_per_session", "knee"});
+  sim::MetricsTable latency(
+      "serve_latency", {"method", "offered", "series"},
+      {"count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"});
+  sim::MetricsTable tuning(
+      "serve_tuning", {"method", "offered"},
+      {"min_ms", "max_ms", "headroom", "window", "deadline_min_ms",
+       "deadline_mean_ms", "deadline_max_ms"});
+  sim::MetricsTable batching(
+      "serve_batching", {"method", "offered"},
+      {"ticks", "requests", "batches", "max_batch", "mean_batch",
+       "gather_seconds", "forward_seconds", "scatter_seconds"});
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const serve::ServeStats& s = runs[i];
+    const std::string offered = std::to_string(s.offered);
+    serve.add_row({s.method, offered},
+                  {double(s.admitted), double(s.queued), double(s.shed),
+                   double(s.threads), double(s.frames), s.wall_seconds,
+                   s.frames_per_second, s.frame_deadline_ms,
+                   double(s.deadline_hits), double(s.warmup_frames_per_session),
+                   levels[i].knee ? 1.0 : 0.0});
+    for (const auto& [series, l] :
+         {std::pair{"frame", &s.frame}, std::pair{"queue", &s.queue},
+          std::pair{"warmup", &s.warmup}})
+      latency.add_row({s.method, offered, series},
+                      {double(l->count), l->mean_ms, l->p50_ms, l->p90_ms,
+                       l->p99_ms, l->max_ms});
+    if (const auto& t = s.tuning)
+      tuning.add_row({s.method, offered},
+                     {t->min_ms, t->max_ms, t->headroom, double(t->window),
+                      t->deadline_min_ms, t->deadline_mean_ms,
+                      t->deadline_max_ms});
+    if (const auto& b = s.batching)
+      batching.add_row({s.method, offered},
+                       {double(b->ticks), double(b->requests),
+                        double(b->batches), double(b->max_batch),
+                        b->mean_batch, b->gather_seconds, b->forward_seconds,
+                        b->scatter_seconds});
+  }
+  for (sim::MetricsTable* t : {&serve, &latency, &tuning, &batching})
+    if (!t->rows.empty()) report.tables.push_back(std::move(*t));
 }
 
 int run_serve(const ServeOptions& opts) {
@@ -203,9 +260,9 @@ int run_serve(const ServeOptions& opts) {
   }
 
   const bool sweep = opts.session_levels.size() > 1;
-  std::vector<sim::ServeLoadLevel> levels;
+  std::vector<serve::ServeLoadLevel> levels;
+  std::vector<serve::ServeStats> runs;
   std::vector<sim::SuiteCellResult> cells;
-  sim::ServeStats last_stats;
   int last_workers = 0;
   bool aborted = false;
 
@@ -244,7 +301,7 @@ int run_serve(const ServeOptions& opts) {
     }
 
     levels.push_back(serve::to_load_level(result.stats));
-    last_stats = result.stats;
+    runs.push_back(result.stats);
     last_workers = result.workers;
     sim::SuiteCell cell;
     cell.difficulty = level_config.difficulty;
@@ -271,9 +328,8 @@ int run_serve(const ServeOptions& opts) {
   if (sweep) {
     print_sweep(levels, knee_offered);
   } else if (!levels.empty()) {
-    sim::ServeStats stats = last_stats;
     serve::FrontendResult printable;  // re-fold for the table helper
-    printable.stats = stats;
+    printable.stats = runs.back();
     printable.aggregate = cells.back().aggregate;
     print_single_run(printable);
   }
@@ -294,14 +350,7 @@ int run_serve(const ServeOptions& opts) {
     report.meta.base_seed = opts.frontend.base_seed;
     report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
     report.meta.aborted = aborted;
-    if (!levels.empty()) {
-      sim::ServeStats stats = last_stats;
-      if (sweep) {
-        stats.levels = levels;
-        stats.knee_offered = knee_offered;
-      }
-      report.serve = stats;
-    }
+    add_serve_tables(report, runs, levels);
     report.add_cells(cells);
 
     std::string save_error;

@@ -4,20 +4,18 @@
 // episode-count overrides so quick runs are possible via environment
 // variables (ICOIL_EPISODES, ICOIL_EPOCHS, ICOIL_EXPERT_EPISODES), strict
 // CLI number parsing, the SIGINT abort token both drivers share, and the
-// BENCH_JSON hook that appends per-cell aggregates as JSON lines for the
-// perf-trajectory tooling.
+// key spelling of numeric knobs in report tables.
 
 #include <cmath>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 
 #include "core/cancel_token.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/policy_store.hpp"
-#include "sim/report.hpp"
 
 namespace icoil::bench {
 
@@ -68,24 +66,12 @@ inline std::unique_ptr<il::IlPolicy> shared_policy() {
   return sim::get_or_train_policy(sim::default_policy_options());
 }
 
-/// Append one per-cell aggregate as a JSON line to the file named by the
-/// BENCH_JSON environment variable; no-op when it is unset. Goes through the
-/// RunReport JSON writer, so user-settable labels (SuiteCell::label) with
-/// quotes or backslashes stay valid JSON.
-inline void append_bench_json(const std::string& bench, const std::string& cell,
-                              const sim::Aggregate& agg) {
-  const char* path = std::getenv("BENCH_JSON");
-  if (path == nullptr || *path == '\0') return;
-  std::ofstream out(path, std::ios::app);
-  if (!out) return;
-  out << sim::aggregate_json_line(bench, cell, agg) << "\n";
-}
-
-/// JSON hook for a whole suite run.
-inline void append_bench_json(const std::string& bench,
-                              const std::vector<sim::SuiteCellResult>& results) {
-  for (const sim::SuiteCellResult& r : results)
-    append_bench_json(bench, r.cell.display_label(), r.aggregate);
+/// A numeric knob (density, resolution) as a metric-table key: the shortest
+/// round-trip-stable spelling, so 1.25 and 1.3 stay distinct rows.
+inline std::string number_key(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.15g", v);
+  return buf;
 }
 
 }  // namespace icoil::bench

@@ -2,9 +2,8 @@
 
 // The one suite-runner behind `bench_suite` and the thin table2/fig8
 // wrappers: builds the named suite, fans it out per method through
-// sim::Evaluator, prints/saves the aggregate table, appends the BENCH_JSON
-// lines, and optionally writes a sim::RunReport artifact and gates against
-// a committed baseline report.
+// sim::Evaluator, prints/saves the aggregate table, and optionally writes a
+// sim::RunReport artifact and gates against a committed baseline report.
 
 #include <cstdio>
 #include <iostream>
@@ -127,14 +126,6 @@ inline std::string default_csv(const std::string& which) {
   if (which == "table2") return "table2_success.csv";
   if (which == "fig8") return "fig8_sensitivity.csv";
   return "";
-}
-
-/// The historical BENCH_JSON bench identifiers, kept stable so the perf
-/// trajectory spans the pre-bench_suite runs.
-inline std::string bench_json_name(const std::string& which) {
-  if (which == "table2") return "table2_success";
-  if (which == "fig8") return "fig8_sensitivity";
-  return which;
 }
 
 /// The paper context each suite reproduces (printed above the table).
@@ -282,7 +273,6 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
 
     const std::vector<sim::SuiteCellResult> results =
         sim::aggregate_suite(detailed, method.name);
-    append_bench_json(detail::bench_json_name(which), results);
     if (opts.per_episode)
       report.add_cells_detailed(results, detailed);
     else

@@ -74,7 +74,6 @@ int run_curriculum_compare() {
                        cell.display_label().c_str(), row.name, completed,
                        total);
         }));
-    bench::append_bench_json("table2_curriculum", per_method.back());
   }
 
   math::TextTable table({"cell", "method", "avg [s]", "success", "episodes"});

@@ -8,8 +8,8 @@ namespace icoil::core {
 
 /// Five-number latency digest (count/mean/p50/p90/p99/max, milliseconds):
 /// the serialization-friendly snapshot a LatencyHistogram folds down to.
-/// This is THE latency-summary shape — sim::RunReport serve blocks carry it,
-/// serve::Frontend produces it, bench tables print it.
+/// This is THE latency-summary shape — serve::Frontend produces it,
+/// serve::ServeStats carries it, bench tables print and record it.
 struct LatencySummary {
   std::uint64_t count = 0;
   double mean_ms = 0.0;

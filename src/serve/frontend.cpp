@@ -279,7 +279,7 @@ FrontendResult Frontend::run() {
   out.aggregate =
       sim::aggregate_episodes(out.episodes, spec.display_name, config_.label);
 
-  sim::ServeStats& stats = out.stats;
+  ServeStats& stats = out.stats;
   stats.method = config_.method;
   stats.sessions = n;
   stats.threads = workers;
@@ -299,7 +299,7 @@ FrontendResult Frontend::run() {
   stats.frame_deadline_ms = config_.frame_deadline_ms;
   stats.deadline_hits = deadline_hits;
   if (config_.tuner.enabled) {
-    sim::ServeStats::Tuning tuning;
+    ServeStats::Tuning tuning;
     tuning.min_ms = config_.tuner.min_ms;
     tuning.max_ms = config_.tuner.max_ms;
     tuning.headroom = config_.tuner.headroom;
@@ -311,7 +311,7 @@ FrontendResult Frontend::run() {
   }
   if (service != nullptr) {
     const il::BatchStats& bs = service->stats();
-    sim::ServeStats::Batching batching;
+    ServeStats::Batching batching;
     batching.ticks = bs.ticks;
     batching.requests = bs.requests;
     batching.batches = bs.batches;
@@ -325,8 +325,8 @@ FrontendResult Frontend::run() {
   return out;
 }
 
-sim::ServeLoadLevel to_load_level(const sim::ServeStats& stats) {
-  sim::ServeLoadLevel level;
+ServeLoadLevel to_load_level(const ServeStats& stats) {
+  ServeLoadLevel level;
   level.offered = stats.offered;
   level.admitted = stats.admitted;
   level.shed = stats.shed;
@@ -340,7 +340,7 @@ sim::ServeLoadLevel to_load_level(const sim::ServeStats& stats) {
   return level;
 }
 
-int find_knee(const std::vector<sim::ServeLoadLevel>& levels) {
+int find_knee(const std::vector<ServeLoadLevel>& levels) {
   constexpr double kMinGain = 1.10;  // < 10% throughput gain = saturated
   for (std::size_t i = 1; i < levels.size(); ++i) {
     if (levels[i].frames_per_second <

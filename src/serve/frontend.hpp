@@ -1,14 +1,15 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/cancel_token.hpp"
+#include "core/latency_histogram.hpp"
 #include "serve/admission.hpp"
 #include "serve/deadline_tuner.hpp"
 #include "sim/evaluator.hpp"
-#include "sim/report.hpp"
 #include "world/scenario.hpp"
 
 namespace icoil::il {
@@ -16,6 +17,72 @@ class IlPolicy;
 }
 
 namespace icoil::serve {
+
+/// One row of a saturation sweep (`bench_serve --sessions 1,10,100,...`):
+/// the headline numbers of one load level, offered load ascending.
+struct ServeLoadLevel {
+  int offered = 0;                   ///< sessions offered at this level
+  int admitted = 0;                  ///< sessions actually served
+  int shed = 0;                      ///< sessions dropped by admission
+  std::uint64_t frames = 0;          ///< frames served (incl. warmup)
+  double wall_seconds = 0.0;
+  double frames_per_second = 0.0;
+  double frame_p50_ms = 0.0;         ///< warmup-excluded frame latency
+  double frame_p99_ms = 0.0;
+  double queue_p99_ms = 0.0;         ///< admission queue-time tail
+  int deadline_hits = 0;
+  bool knee = false;                 ///< the identified saturation knee row
+};
+
+/// Serving-workload metrics of one serve::Frontend run: N concurrent
+/// stepwise sessions interleaved on one pool behind admission control, each
+/// step() timed as one served frame.
+struct ServeStats {
+  /// Batched-inference service counters (il::BatchStats), recorded when the
+  /// run used --batch-inference: tick/batch shape plus where the service's
+  /// time went (the shared forwards vs the gather/scatter around them).
+  struct Batching {
+    std::uint64_t ticks = 0;        ///< service ticks that had work
+    std::uint64_t requests = 0;     ///< observations batched
+    std::uint64_t batches = 0;      ///< batched forward passes
+    std::uint64_t max_batch = 0;    ///< largest single forward batch
+    double mean_batch = 0.0;        ///< requests / batches
+    double gather_seconds = 0.0;    ///< observation packing overhead
+    double forward_seconds = 0.0;   ///< shared batched forwards
+    double scatter_seconds = 0.0;   ///< result unpacking overhead
+  };
+
+  /// serve::DeadlineTuner provenance + what it actually applied: the config
+  /// echo plus min/mean/max over every deadline the tuner handed a session.
+  struct Tuning {
+    double min_ms = 0.0;            ///< configured clamp floor
+    double max_ms = 0.0;            ///< configured clamp ceiling
+    double headroom = 0.0;          ///< configured p99 multiplier
+    int window = 0;                 ///< configured rolling-window length
+    double deadline_min_ms = 0.0;   ///< tightest deadline ever applied
+    double deadline_mean_ms = 0.0;  ///< mean applied deadline
+    double deadline_max_ms = 0.0;   ///< loosest deadline ever applied
+  };
+
+  std::string method;                ///< controller registry key
+  int sessions = 0;                  ///< sessions offered (== offered)
+  int threads = 0;                   ///< pool worker count
+  int offered = 0;                   ///< arrivals offered to admission
+  int admitted = 0;                  ///< arrivals served (now or from queue)
+  int queued = 0;                    ///< admitted arrivals that had to wait
+  int shed = 0;                      ///< arrivals dropped (queue full)
+  std::uint64_t frames = 0;          ///< total frames served (incl. warmup)
+  double wall_seconds = 0.0;
+  double frames_per_second = 0.0;
+  core::LatencySummary frame;        ///< per-frame latency, warmup excluded
+  core::LatencySummary queue;        ///< admission queue time per admission
+  core::LatencySummary warmup;       ///< cold-start frames, kept separately
+  int warmup_frames_per_session = 0; ///< leading frames classed as warmup
+  double frame_deadline_ms = 0.0;    ///< configured static budget (0 = none)
+  int deadline_hits = 0;             ///< frames degraded by a frame budget
+  std::optional<Tuning> tuning;      ///< present when autotuning ran
+  std::optional<Batching> batching;  ///< present for --batch-inference runs
+};
 
 /// Everything one serving run needs: the workload shape (method, offered
 /// load, scenario knobs), the execution shape (threads, batching) and the
@@ -44,11 +111,11 @@ struct FrontendConfig {
   DeadlineTunerConfig tuner;
 };
 
-/// What one serving run produced: the folded ServeStats block (sans sweep
-/// rows — the driver owns multi-level runs), the admitted episodes and
+/// What one serving run produced: the folded ServeStats of its one load
+/// level (the driver owns multi-level runs), the admitted episodes and
 /// their aggregate, and the shed set for determinism checks.
 struct FrontendResult {
-  sim::ServeStats stats;
+  ServeStats stats;
   /// Episode outcomes of the admitted sessions, ascending session index.
   std::vector<sim::EpisodeResult> episodes;
   /// Session indices admission dropped, offer order (never ran at all).
@@ -95,13 +162,13 @@ class Frontend {
 };
 
 /// Converts one level's folded stats into its sweep-table row.
-sim::ServeLoadLevel to_load_level(const sim::ServeStats& stats);
+ServeLoadLevel to_load_level(const ServeStats& stats);
 
 /// Identifies the saturation knee of an offered-load-ascending sweep: the
 /// last level whose throughput still grew meaningfully — i.e. the level
 /// before the first one whose frames/sec gained less than 10% over its
 /// predecessor. Returns the knee index, or -1 when throughput kept scaling
 /// through the final level (no saturation observed).
-int find_knee(const std::vector<sim::ServeLoadLevel>& levels);
+int find_knee(const std::vector<ServeLoadLevel>& levels);
 
 }  // namespace icoil::serve

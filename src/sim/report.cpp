@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <sstream>
 #include <utility>
@@ -76,8 +77,9 @@ void append_string(std::string& out, const std::string& s) {
 //
 // Minimal recursive-descent JSON reader — just enough to load the documents
 // this file writes (objects, arrays, strings with standard escapes, finite
-// numbers, booleans, null). Unknown keys are ignored so old loaders keep
-// working as the schema grows.
+// numbers, booleans, null). Nesting is capped well above the few levels a
+// report uses, so hostile input fails cleanly instead of exhausting the
+// stack.
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -133,38 +135,36 @@ class JsonParser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth)
+        return fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                    " levels");
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out->kind = JsonValue::Kind::kString;
       return parse_string(&out->string);
     }
-    if (c == 't' || c == 'f') return parse_keyword(out);
-    if (c == 'n') return parse_keyword(out);
+    if (c == 't' || c == 'f' || c == 'n') return parse_keyword(out);
     return parse_number(out);
   }
 
   bool parse_keyword(JsonValue* out) {
-    auto match = [&](const char* kw) {
+    const auto match = [&](const char* kw, JsonValue::Kind kind, bool value) {
       const std::size_t n = std::char_traits<char>::length(kw);
       if (text_.compare(pos_, n, kw) != 0) return false;
       pos_ += n;
+      out->kind = kind;
+      out->boolean = value;
       return true;
     };
-    if (match("true")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
+    if (match("true", JsonValue::Kind::kBool, true) ||
+        match("false", JsonValue::Kind::kBool, false) ||
+        match("null", JsonValue::Kind::kNull, false))
       return true;
-    }
-    if (match("false")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      return true;
-    }
-    if (match("null")) {
-      out->kind = JsonValue::Kind::kNull;
-      return true;
-    }
     return fail("unknown keyword");
   }
 
@@ -182,6 +182,7 @@ class JsonParser {
     char* end = nullptr;
     out->number = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return fail("malformed number");
+    if (!std::isfinite(out->number)) return fail("number out of range");
     out->kind = JsonValue::Kind::kNumber;
     return true;
   }
@@ -270,13 +271,15 @@ class JsonParser {
     }
   }
 
+  static constexpr int kMaxDepth = 32;
   const std::string& text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
-// Tolerant field readers: missing/mistyped keys keep the default, so
-// loading a report written by an older schema fills in zeros.
+// Tolerant field readers for meta and cells: missing/mistyped keys keep
+// the default.
 double get_number(const JsonValue& obj, const std::string& key,
                   double fallback = 0.0) {
   const JsonValue* v = obj.find(key);
@@ -285,8 +288,12 @@ double get_number(const JsonValue& obj, const std::string& key,
 }
 
 int get_int(const JsonValue& obj, const std::string& key, int fallback = 0) {
-  return static_cast<int>(
-      std::llround(get_number(obj, key, static_cast<double>(fallback))));
+  const double v = get_number(obj, key, static_cast<double>(fallback));
+  // Out-of-range doubles would be UB to cast; treat as absent.
+  if (!(v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max()))
+    return fallback;
+  return static_cast<int>(std::lround(v));
 }
 
 std::string get_string(const JsonValue& obj, const std::string& key,
@@ -303,25 +310,10 @@ bool get_bool(const JsonValue& obj, const std::string& key,
                                                            : fallback;
 }
 
-std::uint64_t get_hex64(const JsonValue& obj, const std::string& key) {
-  const std::string s = get_string(obj, key);
-  if (s.empty()) return 0;
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
-/// uint64 serialized as a decimal string (exact beyond 2^53); tolerates a
-/// plain JSON number for hand-written documents.
-std::uint64_t get_u64_string(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return 0;
-  if (v->kind == JsonValue::Kind::kNumber) {
-    // Negative or > 2^64 doubles would be UB to cast; treat as absent.
-    if (!(v->number >= 0.0) || v->number >= 18446744073709551616.0) return 0;
-    return static_cast<std::uint64_t>(v->number);
-  }
-  if (v->kind == JsonValue::Kind::kString)
-    return std::strtoull(v->string.c_str(), nullptr, 10);
-  return 0;
+/// uint64 values travel as strings (a JSON number is a double and would
+/// corrupt values >= 2^53); `base` is 10 or 16.
+std::uint64_t get_u64(const JsonValue& obj, const std::string& key, int base) {
+  return std::strtoull(get_string(obj, key).c_str(), nullptr, base);
 }
 
 void write_cell(std::string& out, const CellRecord& cell) {
@@ -390,40 +382,93 @@ CellRecord read_cell(const JsonValue& v) {
   return cell;
 }
 
-void write_latency_summary(std::string& out, const core::LatencySummary& s) {
-  JsonScope o(out, '{', '}');
-  o.field("count") += std::to_string(s.count);
-  o.field("mean_ms") += fmt_double(s.mean_ms);
-  o.field("p50_ms") += fmt_double(s.p50_ms);
-  o.field("p90_ms") += fmt_double(s.p90_ms);
-  o.field("p99_ms") += fmt_double(s.p99_ms);
-  o.field("max_ms") += fmt_double(s.max_ms);
+void write_names(std::string& out, const std::vector<std::string>& names) {
+  JsonScope a(out, '[', ']');
+  for (const std::string& n : names) append_string(a.element(), n);
 }
 
-void write_load_level(std::string& out, const ServeLoadLevel& level) {
-  JsonScope l(out, '{', '}');
-  l.field("offered") += std::to_string(level.offered);
-  l.field("admitted") += std::to_string(level.admitted);
-  l.field("shed") += std::to_string(level.shed);
-  l.field("frames") += std::to_string(level.frames);
-  l.field("wall_seconds") += fmt_double(level.wall_seconds);
-  l.field("frames_per_second") += fmt_double(level.frames_per_second);
-  l.field("frame_p50_ms") += fmt_double(level.frame_p50_ms);
-  l.field("frame_p99_ms") += fmt_double(level.frame_p99_ms);
-  l.field("queue_p99_ms") += fmt_double(level.queue_p99_ms);
-  l.field("deadline_hits") += std::to_string(level.deadline_hits);
-  l.field("knee") += level.knee ? "true" : "false";
+/// Rows are objects holding every key column (as strings) and every value
+/// column (as numbers), so a row reads on its own: {"method":"co",...}.
+void write_table(std::string& out, const MetricsTable& table) {
+  JsonScope t(out, '{', '}');
+  append_string(t.field("name"), table.name);
+  write_names(t.field("keys"), table.key_columns);
+  write_names(t.field("columns"), table.value_columns);
+  JsonScope rows(t.field("rows"), '[', ']');
+  for (const MetricsTable::Row& row : table.rows) {
+    JsonScope r(rows.element(), '{', '}');
+    for (std::size_t i = 0; i < table.key_columns.size(); ++i)
+      append_string(r.field(table.key_columns[i]), row.keys.at(i));
+    for (std::size_t i = 0; i < table.value_columns.size(); ++i)
+      r.field(table.value_columns[i]) += fmt_double(row.values.at(i));
+  }
 }
 
-core::LatencySummary read_latency_summary(const JsonValue& v) {
-  core::LatencySummary s;
-  s.count = get_u64_string(v, "count");
-  s.mean_ms = get_number(v, "mean_ms");
-  s.p50_ms = get_number(v, "p50_ms");
-  s.p90_ms = get_number(v, "p90_ms");
-  s.p99_ms = get_number(v, "p99_ms");
-  s.max_ms = get_number(v, "max_ms");
-  return s;
+bool read_names(const JsonValue* v, std::vector<std::string>* out) {
+  if (v == nullptr || v->kind != JsonValue::Kind::kArray) return false;
+  for (const JsonValue& e : v->array) {
+    if (e.kind != JsonValue::Kind::kString) return false;
+    out->push_back(e.string);
+  }
+  return true;
+}
+
+/// Strict: every row must carry exactly the header's fields, keys as
+/// strings and values as numbers, with no two rows sharing keys.
+bool read_table(const JsonValue& v, MetricsTable* out, std::string* error) {
+  const auto fail = [&](const std::string& what) {
+    if (error) *error = what;
+    return false;
+  };
+  if (v.kind != JsonValue::Kind::kObject)
+    return fail("tables[] entry is not an object");
+  const JsonValue* name = v.find("name");
+  if (name == nullptr || name->kind != JsonValue::Kind::kString)
+    return fail("tables[] entry without a string name");
+  const std::string id = "table \"" + name->string + "\"";
+  std::vector<std::string> keys, columns;
+  if (!read_names(v.find("keys"), &keys) ||
+      !read_names(v.find("columns"), &columns))
+    return fail(id + ": keys and columns must be arrays of strings");
+  const JsonValue* rows = v.find("rows");
+  if (rows == nullptr || rows->kind != JsonValue::Kind::kArray)
+    return fail(id + ": rows must be an array");
+  std::string where = id;
+  try {
+    MetricsTable table(name->string, keys, columns);
+    for (std::size_t r = 0; r < rows->array.size(); ++r) {
+      const JsonValue& row = rows->array[r];
+      where = id + " row " + std::to_string(r);
+      if (row.kind != JsonValue::Kind::kObject ||
+          row.object.size() != keys.size() + columns.size())
+        return fail(where + ": fields differ from the table header");
+      std::vector<std::string> row_keys;
+      std::vector<double> row_values;
+      for (const std::string& k : keys) {
+        const JsonValue* f = row.find(k);
+        if (f == nullptr || f->kind != JsonValue::Kind::kString)
+          return fail(where + ": key \"" + k + "\" missing or not a string");
+        row_keys.push_back(f->string);
+      }
+      for (const std::string& c : columns) {
+        const JsonValue* f = row.find(c);
+        if (f == nullptr || f->kind != JsonValue::Kind::kNumber)
+          return fail(where + ": column \"" + c + "\" missing or not a number");
+        row_values.push_back(f->number);
+      }
+      table.add_row(std::move(row_keys), std::move(row_values));
+    }
+    *out = std::move(table);
+    return true;
+  } catch (const std::invalid_argument& e) {
+    return fail(where + ": " + e.what());
+  }
+}
+
+std::string join_keys(const std::vector<std::string>& keys) {
+  std::string out;
+  for (const std::string& k : keys) out += (out.empty() ? "" : " / ") + k;
+  return out;
 }
 
 CellRecord cell_from_aggregate(const SuiteCell& cell, const Aggregate& agg) {
@@ -497,6 +542,54 @@ std::uint64_t config_fingerprint(const EvalConfig& config) {
 
 std::string build_git_describe() { return ICOIL_GIT_DESCRIBE; }
 
+MetricsTable::MetricsTable(std::string table_name,
+                           std::vector<std::string> keys,
+                           std::vector<std::string> values)
+    : name(std::move(table_name)),
+      key_columns(std::move(keys)),
+      value_columns(std::move(values)) {
+  if (name.empty()) throw std::invalid_argument("table name is empty");
+  std::vector<std::string> all = key_columns;
+  all.insert(all.end(), value_columns.begin(), value_columns.end());
+  for (std::size_t i = 0; i < all.size(); ++i)
+    for (std::size_t j = i + 1; j < all.size(); ++j)
+      if (all[i] == all[j])
+        throw std::invalid_argument("column \"" + all[i] + "\" named twice");
+}
+
+void MetricsTable::add_row(std::vector<std::string> keys,
+                           std::vector<double> values) {
+  if (keys.size() != key_columns.size() ||
+      values.size() != value_columns.size())
+    throw std::invalid_argument("row width differs from the table header");
+  for (std::size_t i = 0; i < values.size(); ++i)
+    if (!std::isfinite(values[i]))
+      throw std::invalid_argument("column \"" + value_columns[i] +
+                                  "\" is not finite");
+  if (find(keys) != nullptr)
+    throw std::invalid_argument("duplicate keys " + join_keys(keys));
+  rows.push_back({std::move(keys), std::move(values)});
+}
+
+const MetricsTable::Row* MetricsTable::find(
+    const std::vector<std::string>& keys) const {
+  for (const Row& row : rows)
+    if (row.keys == keys) return &row;
+  return nullptr;
+}
+
+int MetricsTable::value_index(const std::string& column) const {
+  for (std::size_t i = 0; i < value_columns.size(); ++i)
+    if (value_columns[i] == column) return static_cast<int>(i);
+  return -1;
+}
+
+const MetricsTable* RunReport::table(const std::string& table_name) const {
+  for (const MetricsTable& t : tables)
+    if (t.name == table_name) return &t;
+  return nullptr;
+}
+
 void RunReport::add_cells(const std::vector<SuiteCellResult>& results) {
   for (const SuiteCellResult& r : results)
     cells.push_back(cell_from_aggregate(r.cell, r.aggregate));
@@ -550,129 +643,8 @@ std::string RunReport::to_json() const {
       JsonScope cs(doc.field("cells"), '[', ']');
       for (const CellRecord& cell : cells) write_cell(cs.element(), cell);
     }
-    if (serve.has_value()) {
-      JsonScope s(doc.field("serve"), '{', '}');
-      s.field("version") += std::to_string(kServeStatsVersion);
-      append_string(s.field("method"), serve->method);
-      s.field("sessions") += std::to_string(serve->sessions);
-      s.field("threads") += std::to_string(serve->threads);
-      s.field("offered") += std::to_string(serve->offered);
-      s.field("admitted") += std::to_string(serve->admitted);
-      s.field("queued") += std::to_string(serve->queued);
-      s.field("shed") += std::to_string(serve->shed);
-      s.field("frames") += std::to_string(serve->frames);
-      s.field("wall_seconds") += fmt_double(serve->wall_seconds);
-      s.field("frames_per_second") += fmt_double(serve->frames_per_second);
-      write_latency_summary(s.field("frame"), serve->frame);
-      write_latency_summary(s.field("queue"), serve->queue);
-      write_latency_summary(s.field("warmup"), serve->warmup);
-      s.field("warmup_frames_per_session") +=
-          std::to_string(serve->warmup_frames_per_session);
-      s.field("frame_deadline_ms") += fmt_double(serve->frame_deadline_ms);
-      s.field("deadline_hits") += std::to_string(serve->deadline_hits);
-      if (serve->tuning.has_value()) {
-        const ServeStats::Tuning& t = *serve->tuning;
-        JsonScope ts(s.field("tuning"), '{', '}');
-        ts.field("min_ms") += fmt_double(t.min_ms);
-        ts.field("max_ms") += fmt_double(t.max_ms);
-        ts.field("headroom") += fmt_double(t.headroom);
-        ts.field("window") += std::to_string(t.window);
-        ts.field("deadline_min_ms") += fmt_double(t.deadline_min_ms);
-        ts.field("deadline_mean_ms") += fmt_double(t.deadline_mean_ms);
-        ts.field("deadline_max_ms") += fmt_double(t.deadline_max_ms);
-      }
-      if (!serve->levels.empty()) {
-        {
-          JsonScope ls(s.field("levels"), '[', ']');
-          for (const ServeLoadLevel& level : serve->levels)
-            write_load_level(ls.element(), level);
-        }
-        s.field("knee_offered") += std::to_string(serve->knee_offered);
-      }
-      if (serve->batching.has_value()) {
-        const ServeStats::Batching& b = *serve->batching;
-        JsonScope bs(s.field("batching"), '{', '}');
-        bs.field("ticks") += std::to_string(b.ticks);
-        bs.field("requests") += std::to_string(b.requests);
-        bs.field("batches") += std::to_string(b.batches);
-        bs.field("max_batch") += std::to_string(b.max_batch);
-        bs.field("mean_batch") += fmt_double(b.mean_batch);
-        bs.field("gather_seconds") += fmt_double(b.gather_seconds);
-        bs.field("forward_seconds") += fmt_double(b.forward_seconds);
-        bs.field("scatter_seconds") += fmt_double(b.scatter_seconds);
-      }
-    }
-    if (collision.has_value()) {
-      JsonScope col(doc.field("collision"), '{', '}');
-      col.field("version") += std::to_string(kCollisionStatsVersion);
-      append_string(col.field("generator"), collision->generator);
-      col.field("grid_resolution") += fmt_double(collision->grid_resolution);
-      JsonScope rows(col.field("rows"), '[', ']');
-      for (const CollisionDensityRow& r : collision->rows) {
-        JsonScope row(rows.element(), '{', '}');
-        row.field("density") += fmt_double(r.density);
-        row.field("obstacles") += std::to_string(r.obstacles);
-        row.field("analytic_qps") += fmt_double(r.analytic_qps);
-        row.field("grid_qps") += fmt_double(r.grid_qps);
-        row.field("speedup") += fmt_double(r.speedup);
-        row.field("analytic_episode_seconds") +=
-            fmt_double(r.analytic_episode_seconds);
-        row.field("grid_episode_seconds") += fmt_double(r.grid_episode_seconds);
-        row.field("clearance_err_mean") += fmt_double(r.clearance_err_mean);
-        row.field("clearance_err_max") += fmt_double(r.clearance_err_max);
-        row.field("episodes") += std::to_string(r.episodes);
-        row.field("verdicts_match") += r.verdicts_match ? "true" : "false";
-      }
-    }
-    if (mission.has_value()) {
-      JsonScope ms(doc.field("mission"), '{', '}');
-      ms.field("version") += std::to_string(kMissionStatsVersion);
-      JsonScope rows(ms.field("rows"), '[', ']');
-      for (const MissionTemplateRow& r : mission->rows) {
-        JsonScope row(rows.element(), '{', '}');
-        append_string(row.field("mission"), r.mission);
-        append_string(row.field("method"), r.method);
-        row.field("missions") += std::to_string(r.missions);
-        row.field("succeeded") += std::to_string(r.succeeded);
-        row.field("success_ratio") += fmt_double(r.success_ratio);
-        row.field("legs") += std::to_string(r.legs);
-        row.field("legs_per_mission") += fmt_double(r.legs_per_mission);
-        row.field("replans") += std::to_string(r.replans);
-        row.field("replans_per_mission") += fmt_double(r.replans_per_mission);
-        row.field("collisions") += std::to_string(r.collisions);
-        row.field("timeouts") += std::to_string(r.timeouts);
-        row.field("park_time_p50") += fmt_double(r.park_time_p50);
-        row.field("park_time_p95") += fmt_double(r.park_time_p95);
-        row.field("exit_time_p50") += fmt_double(r.exit_time_p50);
-        row.field("exit_time_p95") += fmt_double(r.exit_time_p95);
-        row.field("wall_seconds_mean") += fmt_double(r.wall_seconds_mean);
-        append_string(row.field("spec_fingerprint"),
-                      fmt_hex64(r.spec_fingerprint));
-        append_string(row.field("result_fingerprint"),
-                      fmt_hex64(r.result_fingerprint));
-      }
-    }
-    if (planner.has_value()) {
-      JsonScope pl(doc.field("planner"), '{', '}');
-      pl.field("version") += std::to_string(kPlannerStatsVersion);
-      JsonScope rows(pl.field("rows"), '[', ']');
-      for (const PlannerFamilyRow& r : planner->rows) {
-        JsonScope row(rows.element(), '{', '}');
-        append_string(row.field("generator"), r.generator);
-        row.field("density") += fmt_double(r.density);
-        append_string(row.field("heuristic"), r.heuristic);
-        row.field("plans") += std::to_string(r.plans);
-        row.field("solved") += std::to_string(r.solved);
-        row.field("plan_ms_mean") += fmt_double(r.plan_ms_mean);
-        row.field("plan_ms_max") += fmt_double(r.plan_ms_max);
-        row.field("expansions_mean") += fmt_double(r.expansions_mean);
-        row.field("rs_shots_mean") += fmt_double(r.rs_shots_mean);
-        row.field("path_cost_mean") += fmt_double(r.path_cost_mean);
-        row.field("speedup") += fmt_double(r.speedup);
-        row.field("deadline_ms") += fmt_double(r.deadline_ms);
-        row.field("deadline_hits") += std::to_string(r.deadline_hits);
-      }
-    }
+    JsonScope ts(doc.field("tables"), '[', ']');
+    for (const MetricsTable& t : tables) write_table(ts.element(), t);
   }
   out.push_back('\n');
   return out;
@@ -703,12 +675,13 @@ bool RunReport::parse(const std::string& json, RunReport* out,
   }
   RunReport report;
   report.meta.schema_version = get_int(root, "schema_version", -1);
-  if (report.meta.schema_version < 1 ||
-      report.meta.schema_version > kRunReportSchemaVersion) {
+  if (report.meta.schema_version != kRunReportSchemaVersion) {
     if (error)
       *error = "unsupported schema_version " +
-               std::to_string(report.meta.schema_version) + " (this build reads <= " +
-               std::to_string(kRunReportSchemaVersion) + ")";
+               std::to_string(report.meta.schema_version) +
+               " (this build reads only " +
+               std::to_string(kRunReportSchemaVersion) +
+               "); re-record the report with this build";
     return false;
   }
   if (const JsonValue* m = root.find("meta");
@@ -717,179 +690,24 @@ bool RunReport::parse(const std::string& json, RunReport* out,
     report.meta.git_describe = get_string(*m, "git_describe");
     report.meta.threads = get_int(*m, "threads");
     report.meta.episodes_per_cell = get_int(*m, "episodes_per_cell");
-    report.meta.base_seed = get_u64_string(*m, "base_seed");
-    report.meta.config_fingerprint = get_hex64(*m, "config_fingerprint");
+    report.meta.base_seed = get_u64(*m, "base_seed", 10);
+    report.meta.config_fingerprint = get_u64(*m, "config_fingerprint", 16);
     report.meta.aborted = get_bool(*m, "aborted");
   }
-  if (const JsonValue* s = root.find("serve");
-      s != nullptr && s->kind == JsonValue::Kind::kObject) {
-    ServeStats stats;
-    stats.version = get_int(*s, "version", 1);
-    stats.method = get_string(*s, "method");
-    stats.sessions = get_int(*s, "sessions");
-    stats.threads = get_int(*s, "threads");
-    stats.frames = get_u64_string(*s, "frames");
-    stats.wall_seconds = get_number(*s, "wall_seconds");
-    stats.frames_per_second = get_number(*s, "frames_per_second");
-    // Admission counters arrived in v2; a v1 block admitted everything.
-    stats.offered = get_int(*s, "offered", stats.sessions);
-    stats.admitted = get_int(*s, "admitted", stats.sessions);
-    stats.queued = get_int(*s, "queued");
-    stats.shed = get_int(*s, "shed");
-    if (const JsonValue* f = s->find("frame");
-        f != nullptr && f->kind == JsonValue::Kind::kObject) {
-      stats.frame = read_latency_summary(*f);
-    } else {
-      // v1 fallback: flat frame_p50_ms/p99/max scalars, every served frame
-      // counted (v1 had no warmup split).
-      stats.frame.count = stats.frames;
-      stats.frame.p50_ms = get_number(*s, "frame_p50_ms");
-      stats.frame.p99_ms = get_number(*s, "frame_p99_ms");
-      stats.frame.max_ms = get_number(*s, "frame_max_ms");
+  if (const JsonValue* ts = root.find("tables"); ts != nullptr) {
+    if (ts->kind != JsonValue::Kind::kArray) {
+      if (error) *error = "tables is not an array";
+      return false;
     }
-    if (const JsonValue* q = s->find("queue");
-        q != nullptr && q->kind == JsonValue::Kind::kObject)
-      stats.queue = read_latency_summary(*q);
-    if (const JsonValue* w = s->find("warmup");
-        w != nullptr && w->kind == JsonValue::Kind::kObject)
-      stats.warmup = read_latency_summary(*w);
-    stats.warmup_frames_per_session =
-        get_int(*s, "warmup_frames_per_session");
-    stats.frame_deadline_ms = get_number(*s, "frame_deadline_ms");
-    stats.deadline_hits = get_int(*s, "deadline_hits");
-    if (const JsonValue* t = s->find("tuning");
-        t != nullptr && t->kind == JsonValue::Kind::kObject) {
-      ServeStats::Tuning tuning;
-      tuning.min_ms = get_number(*t, "min_ms");
-      tuning.max_ms = get_number(*t, "max_ms");
-      tuning.headroom = get_number(*t, "headroom");
-      tuning.window = get_int(*t, "window");
-      tuning.deadline_min_ms = get_number(*t, "deadline_min_ms");
-      tuning.deadline_mean_ms = get_number(*t, "deadline_mean_ms");
-      tuning.deadline_max_ms = get_number(*t, "deadline_max_ms");
-      stats.tuning = tuning;
-    }
-    if (const JsonValue* ls = s->find("levels");
-        ls != nullptr && ls->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& l : ls->array) {
-        if (l.kind != JsonValue::Kind::kObject) continue;
-        ServeLoadLevel level;
-        level.offered = get_int(l, "offered");
-        level.admitted = get_int(l, "admitted");
-        level.shed = get_int(l, "shed");
-        level.frames = get_u64_string(l, "frames");
-        level.wall_seconds = get_number(l, "wall_seconds");
-        level.frames_per_second = get_number(l, "frames_per_second");
-        level.frame_p50_ms = get_number(l, "frame_p50_ms");
-        level.frame_p99_ms = get_number(l, "frame_p99_ms");
-        level.queue_p99_ms = get_number(l, "queue_p99_ms");
-        level.deadline_hits = get_int(l, "deadline_hits");
-        level.knee = get_bool(l, "knee");
-        stats.levels.push_back(level);
+    for (const JsonValue& t : ts->array) {
+      MetricsTable table;
+      if (!read_table(t, &table, error)) return false;
+      if (report.table(table.name) != nullptr) {
+        if (error) *error = "table \"" + table.name + "\" appears twice";
+        return false;
       }
-      stats.knee_offered = get_int(*s, "knee_offered");
+      report.tables.push_back(std::move(table));
     }
-    if (const JsonValue* b = s->find("batching");
-        b != nullptr && b->kind == JsonValue::Kind::kObject) {
-      ServeStats::Batching batching;
-      batching.ticks = get_u64_string(*b, "ticks");
-      batching.requests = get_u64_string(*b, "requests");
-      batching.batches = get_u64_string(*b, "batches");
-      batching.max_batch = get_u64_string(*b, "max_batch");
-      batching.mean_batch = get_number(*b, "mean_batch");
-      batching.gather_seconds = get_number(*b, "gather_seconds");
-      batching.forward_seconds = get_number(*b, "forward_seconds");
-      batching.scatter_seconds = get_number(*b, "scatter_seconds");
-      stats.batching = batching;
-    }
-    report.serve = stats;
-  }
-  if (const JsonValue* col = root.find("collision");
-      col != nullptr && col->kind == JsonValue::Kind::kObject) {
-    CollisionStats stats;
-    stats.version = get_int(*col, "version", 1);
-    stats.generator = get_string(*col, "generator");
-    stats.grid_resolution = get_number(*col, "grid_resolution");
-    if (const JsonValue* rows = col->find("rows");
-        rows != nullptr && rows->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& r : rows->array) {
-        if (r.kind != JsonValue::Kind::kObject) continue;
-        CollisionDensityRow row;
-        row.density = get_number(r, "density", 1.0);
-        row.obstacles = get_int(r, "obstacles");
-        row.analytic_qps = get_number(r, "analytic_qps");
-        row.grid_qps = get_number(r, "grid_qps");
-        row.speedup = get_number(r, "speedup");
-        row.analytic_episode_seconds =
-            get_number(r, "analytic_episode_seconds");
-        row.grid_episode_seconds = get_number(r, "grid_episode_seconds");
-        row.clearance_err_mean = get_number(r, "clearance_err_mean");
-        row.clearance_err_max = get_number(r, "clearance_err_max");
-        row.episodes = get_int(r, "episodes");
-        row.verdicts_match = get_bool(r, "verdicts_match", true);
-        stats.rows.push_back(row);
-      }
-    }
-    report.collision = stats;
-  }
-  if (const JsonValue* ms = root.find("mission");
-      ms != nullptr && ms->kind == JsonValue::Kind::kObject) {
-    MissionStats stats;
-    stats.version = get_int(*ms, "version", 1);
-    if (const JsonValue* rows = ms->find("rows");
-        rows != nullptr && rows->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& r : rows->array) {
-        if (r.kind != JsonValue::Kind::kObject) continue;
-        MissionTemplateRow row;
-        row.mission = get_string(r, "mission");
-        row.method = get_string(r, "method");
-        row.missions = get_int(r, "missions");
-        row.succeeded = get_int(r, "succeeded");
-        row.success_ratio = get_number(r, "success_ratio");
-        row.legs = get_int(r, "legs");
-        row.legs_per_mission = get_number(r, "legs_per_mission");
-        row.replans = get_int(r, "replans");
-        row.replans_per_mission = get_number(r, "replans_per_mission");
-        row.collisions = get_int(r, "collisions");
-        row.timeouts = get_int(r, "timeouts");
-        row.park_time_p50 = get_number(r, "park_time_p50");
-        row.park_time_p95 = get_number(r, "park_time_p95");
-        row.exit_time_p50 = get_number(r, "exit_time_p50");
-        row.exit_time_p95 = get_number(r, "exit_time_p95");
-        row.wall_seconds_mean = get_number(r, "wall_seconds_mean");
-        row.spec_fingerprint = get_hex64(r, "spec_fingerprint");
-        row.result_fingerprint = get_hex64(r, "result_fingerprint");
-        stats.rows.push_back(row);
-      }
-    }
-    report.mission = stats;
-  }
-  if (const JsonValue* pl = root.find("planner");
-      pl != nullptr && pl->kind == JsonValue::Kind::kObject) {
-    PlannerStats stats;
-    stats.version = get_int(*pl, "version", 1);
-    if (const JsonValue* rows = pl->find("rows");
-        rows != nullptr && rows->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& r : rows->array) {
-        if (r.kind != JsonValue::Kind::kObject) continue;
-        PlannerFamilyRow row;
-        row.generator = get_string(r, "generator");
-        row.density = get_number(r, "density", 1.0);
-        row.heuristic = get_string(r, "heuristic");
-        row.plans = get_int(r, "plans");
-        row.solved = get_int(r, "solved");
-        row.plan_ms_mean = get_number(r, "plan_ms_mean");
-        row.plan_ms_max = get_number(r, "plan_ms_max");
-        row.expansions_mean = get_number(r, "expansions_mean");
-        row.rs_shots_mean = get_number(r, "rs_shots_mean");
-        row.path_cost_mean = get_number(r, "path_cost_mean");
-        row.speedup = get_number(r, "speedup");
-        row.deadline_ms = get_number(r, "deadline_ms");
-        row.deadline_hits = get_int(r, "deadline_hits");
-        stats.rows.push_back(row);
-      }
-    }
-    report.planner = stats;
   }
   if (const JsonValue* cs = root.find("cells");
       cs != nullptr && cs->kind == JsonValue::Kind::kArray) {
@@ -917,29 +735,6 @@ bool RunReport::load(const std::string& path, RunReport* out,
   return parse(buffer.str(), out, error);
 }
 
-std::string aggregate_json_line(const std::string& bench,
-                                const std::string& cell,
-                                const Aggregate& agg) {
-  std::string out;
-  JsonScope line(out, '{', '}');
-  append_string(line.field("bench"), bench);
-  append_string(line.field("cell"), cell);
-  append_string(line.field("method"), agg.method);
-  line.field("episodes") += std::to_string(agg.episodes);
-  line.field("successes") += std::to_string(agg.successes);
-  line.field("collisions") += std::to_string(agg.collisions);
-  line.field("timeouts") += std::to_string(agg.timeouts);
-  line.field("budget_exceeded") += std::to_string(agg.budget_exceeded);
-  line.field("deadline_hits") += std::to_string(agg.deadline_hits);
-  line.field("success_ratio") += fmt_double(agg.success_ratio());
-  line.field("park_time_mean") += fmt_double(agg.park_time.mean());
-  line.field("park_time_min") += fmt_double(agg.park_time.min());
-  line.field("park_time_max") += fmt_double(agg.park_time.max());
-  line.field("il_fraction_mean") += fmt_double(agg.il_fraction.mean());
-  line.field("min_clearance_mean") += fmt_double(agg.min_clearance.mean());
-  return out;
-}
-
 std::string BaselineVerdict::summary() const {
   std::ostringstream out;
   if (ok) {
@@ -962,14 +757,15 @@ BaselineVerdict compare_to_baseline(const RunReport& current,
         "config fingerprints differ — the baseline run used different eval "
         "settings; numbers may legitimately differ");
 
-  auto find_current = [&](const CellRecord& want) -> const CellRecord* {
-    for (const CellRecord& c : current.cells)
+  const auto find_cell = [](const std::vector<CellRecord>& cells,
+                            const CellRecord& want) -> const CellRecord* {
+    for (const CellRecord& c : cells)
       if (c.method == want.method && c.label == want.label) return &c;
     return nullptr;
   };
 
   for (const CellRecord& base : baseline.cells) {
-    const CellRecord* cur = find_current(base);
+    const CellRecord* cur = find_cell(current.cells, base);
     const std::string id = base.method + " / " + base.label;
     if (cur == nullptr) {
       verdict.failures.push_back(id + ": cell missing from current run");
@@ -1003,58 +799,63 @@ BaselineVerdict compare_to_baseline(const RunReport& current,
                               std::to_string(base.budget_exceeded) + ")");
   }
 
-  for (const CellRecord& cur : current.cells) {
-    bool known = false;
-    for (const CellRecord& base : baseline.cells)
-      if (base.method == cur.method && base.label == cur.label) known = true;
-    if (!known)
-      verdict.notes.push_back(cur.method + " / " + cur.label +
-                              ": new cell (not in baseline)");
-  }
+  for (const CellRecord& cur : current.cells)
+    if (find_cell(baseline.cells, cur) == nullptr)
+      verdict.failures.push_back(cur.method + " / " + cur.label +
+                                 ": cell not in baseline — re-record it");
 
-  // Mission rows (matched on template + method). A spec-fingerprint mismatch
-  // means the template itself changed since the baseline was recorded: the
-  // numbers are not comparable, so it is flagged as a note and the row is
-  // skipped rather than failed.
-  if (baseline.mission.has_value()) {
-    const std::vector<MissionTemplateRow> empty;
-    const std::vector<MissionTemplateRow>& cur_rows =
-        current.mission.has_value() ? current.mission->rows : empty;
-    for (const MissionTemplateRow& base : baseline.mission->rows) {
-      const MissionTemplateRow* cur = nullptr;
-      for (const MissionTemplateRow& c : cur_rows)
-        if (c.mission == base.mission && c.method == base.method) cur = &c;
-      const std::string id = base.method + " / mission:" + base.mission;
-      if (cur == nullptr) {
-        verdict.failures.push_back(id + ": mission row missing from current run");
+  for (const MetricsTable& base : baseline.tables) {
+    const MetricsTable* cur = current.table(base.name);
+    const std::string tid = "table " + base.name;
+    if (cur == nullptr) {
+      verdict.failures.push_back(tid + ": missing from current run");
+      continue;
+    }
+    if (cur->key_columns != base.key_columns ||
+        cur->value_columns != base.value_columns) {
+      verdict.failures.push_back(tid +
+                                 ": header differs from baseline — re-record it");
+      continue;
+    }
+    std::vector<std::pair<const ColumnGate*, std::size_t>> gates;
+    for (const ColumnGate& g : tolerance.gates) {
+      if (g.table != base.name) continue;
+      const int i = base.value_index(g.column);
+      if (i < 0)
+        verdict.failures.push_back(tid + ": gated column " + g.column +
+                                   " not in table");
+      else
+        gates.emplace_back(&g, static_cast<std::size_t>(i));
+    }
+    for (const MetricsTable::Row& b : base.rows) {
+      const MetricsTable::Row* c = cur->find(b.keys);
+      const std::string id = tid + " / " + join_keys(b.keys);
+      if (c == nullptr) {
+        verdict.failures.push_back(id + ": row missing from current run");
         continue;
       }
-      if (cur->spec_fingerprint != base.spec_fingerprint) {
-        verdict.notes.push_back(
-            id + ": template fingerprint changed — baseline not comparable, "
-                 "re-record it");
-        continue;
-      }
-      const double drop = base.success_ratio - cur->success_ratio;
-      if (drop > tolerance.mission_success_drop + 1e-12) {
+      for (const auto& [g, i] : gates) {
+        const double delta = c->values[i] - b.values[i];
+        const bool drop = g->kind == ColumnGate::Kind::kMaxDrop;
+        const double moved = drop ? -delta : std::abs(delta);
+        if (moved <= g->tolerance + 1e-12) continue;
         std::ostringstream why;
-        why << id << ": mission success ratio " << cur->success_ratio
-            << " vs baseline " << base.success_ratio << " (drop " << drop
-            << " > tol " << tolerance.mission_success_drop << ")";
-        verdict.failures.push_back(why.str());
-      }
-      const double replan_delta =
-          std::abs(cur->replans_per_mission - base.replans_per_mission);
-      if (replan_delta > tolerance.mission_replan_delta + 1e-12) {
-        std::ostringstream why;
-        why << id << ": replans per mission " << cur->replans_per_mission
-            << " vs baseline " << base.replans_per_mission << " (|delta| "
-            << replan_delta << " > tol " << tolerance.mission_replan_delta
-            << ")";
+        why << id << ": " << g->column << " " << c->values[i]
+            << " vs baseline " << b.values[i] << " ("
+            << (drop ? "drop " : "|delta| ") << moved << " > tol "
+            << g->tolerance << ")";
         verdict.failures.push_back(why.str());
       }
     }
+    for (const MetricsTable::Row& c : cur->rows)
+      if (base.find(c.keys) == nullptr)
+        verdict.failures.push_back(tid + " / " + join_keys(c.keys) +
+                                   ": row not in baseline — re-record it");
   }
+  for (const MetricsTable& cur : current.tables)
+    if (baseline.table(cur.name) == nullptr)
+      verdict.failures.push_back("table " + cur.name +
+                                 ": not in baseline — re-record it");
 
   verdict.ok = verdict.failures.empty();
   return verdict;

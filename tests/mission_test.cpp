@@ -346,119 +346,65 @@ TEST(MissionCurriculumTest, ExpanderProducesRecordableLegs) {
 
 // ---------------------------------------------------------------- report
 
-TEST(MissionReportTest, MissionBlockRoundTrips) {
-  sim::RunReport report;
-  report.meta.suite = "mission";
-  report.meta.threads = 16;
-  report.meta.episodes_per_cell = 4;
-  report.meta.base_seed = 9000;
-
-  sim::MissionTemplateRow row;
-  row.mission = "contested_lot";
-  row.method = "co";
-  row.missions = 4;
-  row.succeeded = 3;
-  row.success_ratio = 0.75;
-  row.legs = 27;
-  row.legs_per_mission = 6.75;
-  row.replans = 5;
-  row.replans_per_mission = 1.25;
-  row.collisions = 1;
-  row.timeouts = 0;
-  row.park_time_p50 = 38.4;
-  row.park_time_p95 = 51.9;
-  row.exit_time_p50 = 64.2;
-  row.exit_time_p95 = 80.8;
-  row.wall_seconds_mean = 12.5;
-  row.spec_fingerprint = 0xf2a08233e0abb0fdull;
-  row.result_fingerprint = 0xbfe3f6a9d0787646ull;
-  sim::MissionStats stats;
-  stats.rows.push_back(row);
-  report.mission = stats;
-
+TEST(MissionReportTest, SchemaV2AndFutureRejected) {
+  // A v2 document (the old per-bench mission block) is refused with a
+  // pointer to re-record it, not half-read.
+  const std::string v2 =
+      "{\"schema_version\":2,\"meta\":{\"suite\":\"mission\"},\"cells\":[],"
+      "\"mission\":{\"version\":1,\"rows\":[]}}";
   sim::RunReport loaded;
   std::string error;
-  ASSERT_TRUE(sim::RunReport::parse(report.to_json(), &loaded, &error))
-      << error;
-  EXPECT_EQ(loaded.meta.schema_version, sim::kRunReportSchemaVersion);
-  ASSERT_TRUE(loaded.mission.has_value());
-  ASSERT_EQ(loaded.mission->rows.size(), 1u);
-  const sim::MissionTemplateRow& got = loaded.mission->rows[0];
-  EXPECT_EQ(got.mission, row.mission);
-  EXPECT_EQ(got.method, row.method);
-  EXPECT_EQ(got.missions, row.missions);
-  EXPECT_EQ(got.succeeded, row.succeeded);
-  EXPECT_EQ(got.success_ratio, row.success_ratio);
-  EXPECT_EQ(got.legs, row.legs);
-  EXPECT_EQ(got.legs_per_mission, row.legs_per_mission);
-  EXPECT_EQ(got.replans, row.replans);
-  EXPECT_EQ(got.replans_per_mission, row.replans_per_mission);
-  EXPECT_EQ(got.collisions, row.collisions);
-  EXPECT_EQ(got.timeouts, row.timeouts);
-  EXPECT_EQ(got.park_time_p50, row.park_time_p50);
-  EXPECT_EQ(got.park_time_p95, row.park_time_p95);
-  EXPECT_EQ(got.exit_time_p50, row.exit_time_p50);
-  EXPECT_EQ(got.exit_time_p95, row.exit_time_p95);
-  EXPECT_EQ(got.wall_seconds_mean, row.wall_seconds_mean);
-  EXPECT_EQ(got.spec_fingerprint, row.spec_fingerprint);
-  EXPECT_EQ(got.result_fingerprint, row.result_fingerprint);
-}
-
-TEST(MissionReportTest, V1DocumentsStillLoadAndFutureRejected) {
-  // A v1 document (no mission block) must load with mission absent.
-  const std::string v1 =
-      "{\"schema_version\":1,\"meta\":{\"suite\":\"table2\","
-      "\"git_describe\":\"test\",\"threads\":2,\"episodes_per_cell\":1,"
-      "\"base_seed\":\"5\",\"config_fingerprint\":\"00000000000000aa\","
-      "\"aborted\":false},\"cells\":[]}";
-  sim::RunReport loaded;
-  std::string error;
-  ASSERT_TRUE(sim::RunReport::parse(v1, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.meta.schema_version, 1);
-  EXPECT_FALSE(loaded.mission.has_value());
+  EXPECT_FALSE(sim::RunReport::parse(v2, &loaded, &error));
+  EXPECT_NE(error.find("unsupported schema_version 2"), std::string::npos);
+  EXPECT_NE(error.find("re-record"), std::string::npos);
 
   // A future schema version is refused, not misread.
+  error.clear();
   const std::string v99 = "{\"schema_version\":99,\"cells\":[]}";
   EXPECT_FALSE(sim::RunReport::parse(v99, &loaded, &error));
   EXPECT_NE(error.find("unsupported"), std::string::npos);
 }
 
 TEST(MissionReportTest, BaselineComparatorCatchesMissionRegressions) {
+  // The mission table shape and gates bench_mission declares.
   const auto make_report = [](double success, double replans_per_mission,
-                              std::uint64_t spec_fp) {
+                              const std::string& spec_fp) {
     sim::RunReport r;
-    sim::MissionTemplateRow row;
-    row.mission = "contested_lot";
-    row.method = "co";
-    row.missions = 4;
-    row.success_ratio = success;
-    row.replans_per_mission = replans_per_mission;
-    row.spec_fingerprint = spec_fp;
-    sim::MissionStats stats;
-    stats.rows.push_back(row);
-    r.mission = stats;
+    sim::MetricsTable t("mission", {"mission", "method", "spec_fingerprint"},
+                        {"success_ratio", "replans_per_mission"});
+    t.add_row({"contested_lot", "co", spec_fp},
+              {success, replans_per_mission});
+    r.tables.push_back(t);
     return r;
   };
+  sim::BaselineTolerance tol;
+  tol.gates = {{"mission", "success_ratio", sim::ColumnGate::Kind::kMaxDrop,
+                0.02},
+               {"mission", "replans_per_mission",
+                sim::ColumnGate::Kind::kMaxAbsDelta, 0.5}};
+  const auto ok = [&](const sim::RunReport& current,
+                      const sim::RunReport& baseline) {
+    return sim::compare_to_baseline(current, baseline, tol).ok;
+  };
 
-  const sim::RunReport baseline = make_report(0.75, 1.0, 0xabc);
-  // Identical run: clean.
-  EXPECT_TRUE(sim::compare_to_baseline(make_report(0.75, 1.0, 0xabc), baseline)
-                  .ok);
+  const sim::RunReport baseline = make_report(0.75, 1.0, "abc");
+  // Identical run: clean; a success gain is not a regression.
+  EXPECT_TRUE(ok(make_report(0.75, 1.0, "abc"), baseline));
+  EXPECT_TRUE(ok(make_report(1.0, 1.0, "abc"), baseline));
   // Success collapse: regression.
-  EXPECT_FALSE(sim::compare_to_baseline(make_report(0.25, 1.0, 0xabc), baseline)
-                   .ok);
-  // Replans stopped firing: regression (the contested template's reason to
-  // exist is the forced replan).
-  EXPECT_FALSE(sim::compare_to_baseline(make_report(0.75, 0.0, 0xabc), baseline)
-                   .ok);
-  // Template changed: note, not failure — numbers are not comparable.
+  EXPECT_FALSE(ok(make_report(0.25, 1.0, "abc"), baseline));
+  // Replans stopped firing, or started thrashing: regression either way
+  // (the contested template's reason to exist is the forced replan).
+  EXPECT_FALSE(ok(make_report(0.75, 0.0, "abc"), baseline));
+  EXPECT_FALSE(ok(make_report(0.75, 2.0, "abc"), baseline));
+  // Template changed: its row is missing from the baseline and the old row
+  // is missing from the run, so the baseline must be re-recorded.
   const sim::BaselineVerdict changed =
-      sim::compare_to_baseline(make_report(0.10, 0.0, 0xdef), baseline);
-  EXPECT_TRUE(changed.ok);
-  EXPECT_FALSE(changed.notes.empty());
-  // Missing row: regression.
-  sim::RunReport empty;
-  EXPECT_FALSE(sim::compare_to_baseline(empty, baseline).ok);
+      sim::compare_to_baseline(make_report(0.75, 1.0, "def"), baseline, tol);
+  EXPECT_FALSE(changed.ok);
+  EXPECT_EQ(changed.failures.size(), 2u) << changed.summary();
+  // Missing table: regression.
+  EXPECT_FALSE(ok(sim::RunReport{}, baseline));
 }
 
 }  // namespace

@@ -1,13 +1,19 @@
 // Coverage for the execution runtime (core::TaskPool + CancelToken) and the
 // RunReport results subsystem: pool semantics, deadline cancellation through
 // the evaluator, thread-count invariance of suite results, and the report
-// write -> load -> baseline-compare loop.
+// write -> load -> baseline-compare loop, including a mutation fuzz of the
+// loader over the committed baselines.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <random>
 #include <stdexcept>
 #include <thread>
 
@@ -280,7 +286,19 @@ sim::RunReport tiny_report() {
   report.meta.config_fingerprint = sim::config_fingerprint(cfg);
   const auto detailed = ev.evaluate_suite_detailed(fixed_factory(), suite);
   report.add_cells_detailed(sim::aggregate_suite(detailed, "fixed"), detailed);
+  // Keys with JSON specials too, and values that need all 17 digits.
+  sim::MetricsTable levels("serve", {"method", "offered"},
+                           {"frames", "frames_per_second"});
+  levels.add_row({"co \"q\"", "2"}, {1234, 493.6});
+  levels.add_row({"co \"q\"", "8"}, {4321, 0.1 + 0.2});
+  report.tables.push_back(levels);
   return report;
+}
+
+/// A schema-3 document around one table object literal.
+std::string doc_with_table(const std::string& table) {
+  return "{\"schema_version\":3,\"meta\":{},\"cells\":[],\"tables\":[" +
+         table + "]}";
 }
 
 TEST(RunReportTest, RoundTripsThroughJson) {
@@ -323,26 +341,150 @@ TEST(RunReportTest, RoundTripsThroughJson) {
                        b.episode_records[e].park_time);
     }
   }
+
+  ASSERT_EQ(loaded.tables.size(), 1u);
+  const sim::MetricsTable& t = loaded.tables[0];
+  EXPECT_EQ(t.name, "serve");
+  EXPECT_EQ(t.key_columns, report.tables[0].key_columns);
+  EXPECT_EQ(t.value_columns, report.tables[0].value_columns);
+  ASSERT_EQ(t.rows.size(), 2u);
+  for (std::size_t r = 0; r < t.rows.size(); ++r) {
+    EXPECT_EQ(t.rows[r].keys, report.tables[0].rows[r].keys);
+    EXPECT_EQ(t.rows[r].values, report.tables[0].rows[r].values);  // exact
+  }
+  ASSERT_NE(loaded.table("serve"), nullptr);
+  EXPECT_EQ(loaded.table("mission"), nullptr);
+}
+
+TEST(RunReportTest, MetricsTableRejectsMalformedRows) {
+  sim::MetricsTable t("t", {"k"}, {"v"});
+  t.add_row({"a"}, {1.0});
+  EXPECT_THROW(t.add_row({"a"}, {2.0}), std::invalid_argument);  // dup keys
+  EXPECT_THROW(t.add_row({"b"}, {}), std::invalid_argument);     // width
+  EXPECT_THROW(t.add_row({"b"}, {std::nan("")}), std::invalid_argument);
+  EXPECT_THROW(sim::MetricsTable("t", {"x"}, {"x"}), std::invalid_argument);
+  EXPECT_EQ(t.rows.size(), 1u);
+  EXPECT_EQ(t.value_index("v"), 0);
+  EXPECT_EQ(t.value_index("k"), -1);
 }
 
 TEST(RunReportTest, LoaderRejectsGarbageAndFutureSchema) {
   sim::RunReport out;
   std::string error;
-  EXPECT_FALSE(sim::RunReport::parse("not json at all", &out, &error));
-  EXPECT_FALSE(error.empty());
-  error.clear();
-  EXPECT_FALSE(sim::RunReport::parse("[1,2,3]", &out, &error));
-  error.clear();
-  EXPECT_FALSE(sim::RunReport::parse(
-      "{\"schema_version\": 999, \"meta\": {}, \"cells\": []}", &out, &error));
-  EXPECT_NE(error.find("schema_version"), std::string::npos);
-  error.clear();
+  const auto rejects = [&](const std::string& json, const std::string& why) {
+    error.clear();
+    const bool loaded = sim::RunReport::parse(json, &out, &error);
+    EXPECT_FALSE(loaded) << json.substr(0, 200);
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+  };
+  rejects("not json at all", "JSON parse error");
+  rejects("[1,2,3]", "not a JSON object");
+  rejects("{\"schema_version\": 999, \"meta\": {}, \"cells\": []}",
+          "schema_version");
   // Merge-mangled numbers must be rejected, not prefix-parsed.
-  EXPECT_FALSE(sim::RunReport::parse(
-      "{\"schema_version\":1,\"meta\":{},\"cells\":[{\"success_ratio\":1..0}]}",
-      &out, &error));
-  EXPECT_NE(error.find("number"), std::string::npos);
+  rejects("{\"schema_version\":3,\"meta\":{},"
+          "\"cells\":[{\"success_ratio\":1..0}]}",
+          "number");
+  // Out-of-range numbers would load as inf.
+  rejects("{\"schema_version\":3,\"meta\":{},"
+          "\"cells\":[{\"success_ratio\":1e999}]}",
+          "out of range");
+  rejects(doc_with_table("{\"name\":\"t\",\"keys\":[],\"columns\":[\"v\"],"
+                         "\"rows\":[{\"v\":-1e999}]}"),
+          "out of range");
+  // Nesting far past any report's depth fails cleanly, not by overflowing
+  // the stack.
+  rejects(std::string(2000000, '['), "nesting");
+  rejects("{\"schema_version\":3,\"cells\":" + std::string(100, '[') +
+              std::string(100, ']') + "}",
+          "nesting");
+
+  // Table rows must match the header exactly, with string keys, numeric
+  // values and unique keys; the error names the table and the row.
+  const std::string head =
+      "{\"name\":\"levels\",\"keys\":[\"offered\"],\"columns\":[\"fps\"],"
+      "\"rows\":[{\"offered\":\"2\",\"fps\":1},";
+  ASSERT_TRUE(sim::RunReport::parse(
+      doc_with_table(head + "{\"offered\":\"8\",\"fps\":2}]}"), &out, &error))
+      << error;
+  const std::string row1 = "table \"levels\" row 1";
+  rejects(doc_with_table(head + "{\"offered\":\"8\",\"fps\":2,\"x\":0}]}"),
+          row1 + ": fields differ");
+  rejects(doc_with_table(head + "{\"offered\":\"8\"}]}"), row1);
+  rejects(doc_with_table(head + "{\"offered\":\"8\",\"x\":2}]}"),
+          row1 + ": column \"fps\"");
+  rejects(doc_with_table(head + "{\"offered\":8,\"fps\":2}]}"),
+          row1 + ": key \"offered\"");
+  rejects(doc_with_table(head + "{\"offered\":\"8\",\"fps\":\"2\"}]}"),
+          row1 + ": column \"fps\"");
+  rejects(doc_with_table(head + "{\"offered\":\"2\",\"fps\":3}]}"),
+          row1 + ": duplicate keys");
+  rejects(doc_with_table("{\"name\":\"t\",\"keys\":[1],\"columns\":[],"
+                         "\"rows\":[]}"),
+          "table \"t\"");
+  rejects(doc_with_table("{\"name\":\"t\",\"keys\":[],\"columns\":[],"
+                         "\"rows\":[]},{\"name\":\"t\",\"keys\":[],"
+                         "\"columns\":[],\"rows\":[]}"),
+          "appears twice");
+
   EXPECT_FALSE(sim::RunReport::load("/nonexistent/nope.json", &out, &error));
+}
+
+TEST(RunReportTest, LoaderSurvivesMutatedBaselines) {
+  // Fixed-seed mutation fuzzing over the committed baselines: every
+  // truncated, bit-flipped or byte-inserted mutant either loads (and then
+  // writes back out) or is rejected with a message — never a crash.
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(ICOIL_SOURCE_DIR) / "bench" / "baselines"))
+    if (entry.path().extension() == ".json") paths.push_back(entry.path());
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GE(paths.size(), 2u);
+
+  const std::string structural = "{}[]\",:.-+eE0123456789tfnu\\ ";
+  std::mt19937_64 rng(20261017);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  int loaded = 0, rejected = 0;
+  for (const std::filesystem::path& path : paths) {
+    std::ifstream in(path);
+    const std::string doc((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    sim::RunReport report;
+    std::string error;
+    ASSERT_TRUE(sim::RunReport::parse(doc, &report, &error))
+        << path << ": " << error;
+    for (int i = 0; i < 2000; ++i) {
+      std::string mutant = doc;
+      for (std::size_t edits = 1 + below(4); edits > 0; --edits) {
+        switch (below(3)) {
+          case 0:  // truncation
+            mutant.resize(below(mutant.size() + 1));
+            break;
+          case 1:  // bit flip
+            if (!mutant.empty())
+              mutant[below(mutant.size())] ^=
+                  static_cast<char>(1u << below(8));
+            break;
+          default:  // insertion: a structural character or any byte
+            mutant.insert(below(mutant.size() + 1), 1,
+                          below(2) == 0 ? structural[below(structural.size())]
+                                        : static_cast<char>(below(256)));
+        }
+      }
+      error.clear();
+      if (sim::RunReport::parse(mutant, &report, &error)) {
+        ++loaded;
+        EXPECT_FALSE(report.to_json().empty());
+      } else {
+        ++rejected;
+        EXPECT_FALSE(error.empty()) << path << " mutant " << i;
+      }
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(RunReportTest, JsonEscapeHandlesSpecials) {
@@ -350,25 +492,6 @@ TEST(RunReportTest, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(sim::json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(sim::json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
   EXPECT_EQ(sim::json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
-TEST(RunReportTest, AggregateJsonLineIsParseableJson) {
-  sim::Aggregate agg;
-  agg.method = "m\"x";
-  agg.episodes = 2;
-  agg.successes = 1;
-  // Wrap the line into a document our own parser accepts: proof it is
-  // well-formed JSON despite the quote in the method name.
-  const std::string line =
-      sim::aggregate_json_line("bench\\name", "cell \"q\"", agg);
-  sim::RunReport dummy;
-  std::string error;
-  const std::string doc =
-      "{\"schema_version\":1,\"meta\":{},\"cells\":[" + line + "]}";
-  ASSERT_TRUE(sim::RunReport::parse(doc, &dummy, &error)) << error;
-  ASSERT_EQ(dummy.cells.size(), 1u);
-  EXPECT_EQ(dummy.cells[0].method, "m\"x");
-  EXPECT_EQ(dummy.cells[0].episodes, 2);
 }
 
 TEST(RunReportTest, BaselineCompareVerdicts) {
@@ -402,14 +525,42 @@ TEST(RunReportTest, BaselineCompareVerdicts) {
     EXPECT_FALSE(verdict.ok);
   }
 
-  // Missing cell in the current run -> regression; extra cell -> note only.
+  // Coverage is strict both ways: a cell or table row missing from the
+  // current run, or one the baseline lacks, is a regression.
   sim::RunReport shrunk = report;
   shrunk.cells.pop_back();
-  verdict = sim::compare_to_baseline(shrunk, report);
-  EXPECT_FALSE(verdict.ok);
+  EXPECT_FALSE(sim::compare_to_baseline(shrunk, report).ok);
   verdict = sim::compare_to_baseline(report, shrunk);
-  EXPECT_TRUE(verdict.ok);
-  EXPECT_FALSE(verdict.notes.empty());
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_NE(verdict.summary().find("not in baseline"), std::string::npos);
+  sim::RunReport fewer_rows = report;
+  fewer_rows.tables[0].rows.pop_back();
+  verdict = sim::compare_to_baseline(report, fewer_rows);
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_NE(verdict.summary().find("row not in baseline"), std::string::npos);
+  verdict = sim::compare_to_baseline(fewer_rows, report);
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_NE(verdict.summary().find("row missing"), std::string::npos);
+  sim::RunReport no_table = report;
+  no_table.tables.clear();
+  EXPECT_FALSE(sim::compare_to_baseline(report, no_table).ok);
+  EXPECT_FALSE(sim::compare_to_baseline(no_table, report).ok);
+
+  // Table gates: only gated columns compare, each by its own rule.
+  sim::RunReport slower_serve = report;
+  slower_serve.tables[0].rows[0].values[1] -= 10.0;  // frames_per_second
+  EXPECT_TRUE(sim::compare_to_baseline(slower_serve, report).ok);
+  sim::BaselineTolerance gated;
+  gated.gates = {{"serve", "frames_per_second",
+                  sim::ColumnGate::Kind::kMaxDrop, 5.0}};
+  EXPECT_FALSE(sim::compare_to_baseline(slower_serve, report, gated).ok);
+  EXPECT_TRUE(sim::compare_to_baseline(report, slower_serve, gated).ok);
+  gated.gates[0].kind = sim::ColumnGate::Kind::kMaxAbsDelta;
+  EXPECT_FALSE(sim::compare_to_baseline(report, slower_serve, gated).ok);
+  gated.gates[0].tolerance = 10.5;
+  EXPECT_TRUE(sim::compare_to_baseline(report, slower_serve, gated).ok);
+  gated.gates[0].column = "no_such_column";
+  EXPECT_FALSE(sim::compare_to_baseline(report, report, gated).ok);
 
   // Tolerance absorbs small drift.
   sim::BaselineTolerance loose;

@@ -237,7 +237,7 @@ TEST(FrontendTest, TunerFeedsSessionDeadlinesWithinClamp) {
   const serve::FrontendResult result = serve::Frontend(config).run();
 
   ASSERT_TRUE(result.stats.tuning.has_value());
-  const sim::ServeStats::Tuning& tuning = *result.stats.tuning;
+  const serve::ServeStats::Tuning& tuning = *result.stats.tuning;
   EXPECT_DOUBLE_EQ(tuning.min_ms, 5.0);
   EXPECT_DOUBLE_EQ(tuning.max_ms, 150.0);
   // Every deadline the tuner applied respected the clamp.
@@ -365,8 +365,8 @@ TEST(LatencyHistogramTest, SummaryAndMergeMatchManualPercentiles) {
 
 // ----------------------------------------------------------- find_knee
 
-sim::ServeLoadLevel level_fps(int offered, double fps) {
-  sim::ServeLoadLevel level;
+serve::ServeLoadLevel level_fps(int offered, double fps) {
+  serve::ServeLoadLevel level;
   level.offered = offered;
   level.frames_per_second = fps;
   return level;
@@ -374,12 +374,12 @@ sim::ServeLoadLevel level_fps(int offered, double fps) {
 
 TEST(FindKneeTest, FlagsTheLastScalingLevel) {
   // 1 -> 10 scales 8x, 10 -> 100 gains under 10%: the knee is at 10.
-  const std::vector<sim::ServeLoadLevel> saturating = {
+  const std::vector<serve::ServeLoadLevel> saturating = {
       level_fps(1, 50.0), level_fps(10, 400.0), level_fps(100, 420.0)};
   EXPECT_EQ(serve::find_knee(saturating), 1);
 
   // Throughput keeps scaling: no knee.
-  const std::vector<sim::ServeLoadLevel> scaling = {
+  const std::vector<serve::ServeLoadLevel> scaling = {
       level_fps(1, 50.0), level_fps(10, 400.0), level_fps(100, 3000.0)};
   EXPECT_EQ(serve::find_knee(scaling), -1);
 
@@ -388,7 +388,7 @@ TEST(FindKneeTest, FlagsTheLastScalingLevel) {
   EXPECT_EQ(serve::find_knee({level_fps(1, 50.0)}), -1);
 
   // Outright regression past the first level knees immediately.
-  const std::vector<sim::ServeLoadLevel> collapsing = {
+  const std::vector<serve::ServeLoadLevel> collapsing = {
       level_fps(1, 50.0), level_fps(10, 30.0)};
   EXPECT_EQ(serve::find_knee(collapsing), 0);
 }

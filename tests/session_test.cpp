@@ -294,195 +294,6 @@ TEST(AbortTokenTest, PartialReportRoundTripsWithAbortedFlag) {
   EXPECT_FALSE(loaded.meta.aborted);
 }
 
-TEST(ServeStatsTest, RoundTripsThroughJson) {
-  sim::RunReport report;
-  report.meta.suite = "serve";
-  sim::ServeStats stats;
-  stats.method = "co";
-  stats.sessions = 8;
-  stats.threads = 4;
-  stats.offered = 8;
-  stats.admitted = 6;
-  stats.queued = 2;
-  stats.shed = 2;
-  stats.frames = 1234;
-  stats.wall_seconds = 2.5;
-  stats.frames_per_second = 493.6;
-  stats.frame = {1222, 13.0, 11.25, 30.0, 48.5, 97.0};
-  stats.queue = {6, 0.4, 0.0, 1.5, 2.25, 2.5};
-  stats.warmup = {12, 40.0, 38.0, 55.0, 60.0, 61.5};
-  stats.warmup_frames_per_session = 2;
-  stats.frame_deadline_ms = 50.0;
-  stats.deadline_hits = 17;
-  sim::ServeStats::Tuning tuning;
-  tuning.min_ms = 5.0;
-  tuning.max_ms = 200.0;
-  tuning.headroom = 1.5;
-  tuning.window = 64;
-  tuning.deadline_min_ms = 18.5;
-  tuning.deadline_mean_ms = 42.0;
-  tuning.deadline_max_ms = 200.0;
-  stats.tuning = tuning;
-  sim::ServeLoadLevel level;
-  level.offered = 8;
-  level.admitted = 6;
-  level.shed = 2;
-  level.frames = 1234;
-  level.wall_seconds = 2.5;
-  level.frames_per_second = 493.6;
-  level.frame_p50_ms = 11.25;
-  level.frame_p99_ms = 48.5;
-  level.queue_p99_ms = 2.25;
-  level.deadline_hits = 17;
-  level.knee = true;
-  stats.levels = {level};
-  stats.knee_offered = 8;
-  report.serve = stats;
-
-  sim::RunReport loaded;
-  std::string error;
-  ASSERT_TRUE(sim::RunReport::parse(report.to_json(), &loaded, &error))
-      << error;
-  ASSERT_TRUE(loaded.serve.has_value());
-  const sim::ServeStats& s = *loaded.serve;
-  EXPECT_EQ(s.version, sim::kServeStatsVersion);
-  EXPECT_EQ(s.method, "co");
-  EXPECT_EQ(s.sessions, 8);
-  EXPECT_EQ(s.threads, 4);
-  EXPECT_EQ(s.offered, 8);
-  EXPECT_EQ(s.admitted, 6);
-  EXPECT_EQ(s.queued, 2);
-  EXPECT_EQ(s.shed, 2);
-  EXPECT_EQ(s.frames, 1234u);
-  EXPECT_DOUBLE_EQ(s.wall_seconds, 2.5);
-  EXPECT_DOUBLE_EQ(s.frames_per_second, 493.6);
-  EXPECT_EQ(s.frame.count, 1222u);
-  EXPECT_DOUBLE_EQ(s.frame.mean_ms, 13.0);
-  EXPECT_DOUBLE_EQ(s.frame.p50_ms, 11.25);
-  EXPECT_DOUBLE_EQ(s.frame.p90_ms, 30.0);
-  EXPECT_DOUBLE_EQ(s.frame.p99_ms, 48.5);
-  EXPECT_DOUBLE_EQ(s.frame.max_ms, 97.0);
-  EXPECT_EQ(s.queue.count, 6u);
-  EXPECT_DOUBLE_EQ(s.queue.p99_ms, 2.25);
-  EXPECT_EQ(s.warmup.count, 12u);
-  EXPECT_DOUBLE_EQ(s.warmup.p50_ms, 38.0);
-  EXPECT_EQ(s.warmup_frames_per_session, 2);
-  EXPECT_DOUBLE_EQ(s.frame_deadline_ms, 50.0);
-  EXPECT_EQ(s.deadline_hits, 17);
-  ASSERT_TRUE(s.tuning.has_value());
-  EXPECT_DOUBLE_EQ(s.tuning->min_ms, 5.0);
-  EXPECT_DOUBLE_EQ(s.tuning->max_ms, 200.0);
-  EXPECT_DOUBLE_EQ(s.tuning->headroom, 1.5);
-  EXPECT_EQ(s.tuning->window, 64);
-  EXPECT_DOUBLE_EQ(s.tuning->deadline_min_ms, 18.5);
-  EXPECT_DOUBLE_EQ(s.tuning->deadline_mean_ms, 42.0);
-  EXPECT_DOUBLE_EQ(s.tuning->deadline_max_ms, 200.0);
-  ASSERT_EQ(s.levels.size(), 1u);
-  EXPECT_EQ(s.levels[0].offered, 8);
-  EXPECT_EQ(s.levels[0].admitted, 6);
-  EXPECT_EQ(s.levels[0].shed, 2);
-  EXPECT_EQ(s.levels[0].frames, 1234u);
-  EXPECT_DOUBLE_EQ(s.levels[0].frames_per_second, 493.6);
-  EXPECT_DOUBLE_EQ(s.levels[0].frame_p50_ms, 11.25);
-  EXPECT_DOUBLE_EQ(s.levels[0].frame_p99_ms, 48.5);
-  EXPECT_DOUBLE_EQ(s.levels[0].queue_p99_ms, 2.25);
-  EXPECT_EQ(s.levels[0].deadline_hits, 17);
-  EXPECT_TRUE(s.levels[0].knee);
-  EXPECT_EQ(s.knee_offered, 8);
-
-  // Reports without a serve block load with none, and a serve block
-  // written without batching loads with no batching.
-  sim::RunReport plain;
-  ASSERT_TRUE(sim::RunReport::parse(sim::RunReport{}.to_json(), &plain, &error))
-      << error;
-  EXPECT_FALSE(plain.serve.has_value());
-  EXPECT_FALSE(loaded.serve->batching.has_value());
-}
-
-TEST(ServeStatsTest, LoadsLegacyV1ServeBlock) {
-  // A serve block written before kServeStatsVersion existed: flat latency
-  // scalars, no admission counters, no version field. The loader must map
-  // the legacy scalars into the frame summary and default the admission
-  // counters to "everyone admitted".
-  const std::string json = R"({
-    "schema_version": 1,
-    "meta": {"suite": "serve"},
-    "serve": {
-      "method": "co",
-      "sessions": 8,
-      "threads": 4,
-      "frames": "1234",
-      "wall_seconds": 2.5,
-      "frames_per_second": 493.6,
-      "frame_p50_ms": 11.25,
-      "frame_p99_ms": 48.5,
-      "frame_max_ms": 97.0,
-      "frame_deadline_ms": 50.0,
-      "deadline_hits": 17
-    },
-    "cells": []
-  })";
-  sim::RunReport loaded;
-  std::string error;
-  ASSERT_TRUE(sim::RunReport::parse(json, &loaded, &error)) << error;
-  ASSERT_TRUE(loaded.serve.has_value());
-  const sim::ServeStats& s = *loaded.serve;
-  EXPECT_EQ(s.version, 1);
-  EXPECT_EQ(s.method, "co");
-  EXPECT_EQ(s.frames, 1234u);
-  EXPECT_DOUBLE_EQ(s.frame.p50_ms, 11.25);
-  EXPECT_DOUBLE_EQ(s.frame.p99_ms, 48.5);
-  EXPECT_DOUBLE_EQ(s.frame.max_ms, 97.0);
-  EXPECT_EQ(s.frame.count, 1234u);
-  EXPECT_EQ(s.offered, 8);
-  EXPECT_EQ(s.admitted, 8);
-  EXPECT_EQ(s.queued, 0);
-  EXPECT_EQ(s.shed, 0);
-  EXPECT_EQ(s.queue.count, 0u);
-  EXPECT_EQ(s.warmup.count, 0u);
-  EXPECT_FALSE(s.tuning.has_value());
-  EXPECT_TRUE(s.levels.empty());
-  EXPECT_EQ(s.knee_offered, 0);
-  EXPECT_DOUBLE_EQ(s.frame_deadline_ms, 50.0);
-  EXPECT_EQ(s.deadline_hits, 17);
-}
-
-TEST(ServeStatsTest, BatchingBlockRoundTripsThroughJson) {
-  sim::RunReport report;
-  report.meta.suite = "serve";
-  sim::ServeStats stats;
-  stats.method = "il";
-  stats.sessions = 8;
-  stats.frames = 945;
-  sim::ServeStats::Batching batching;
-  batching.ticks = 120;
-  batching.requests = 945;
-  batching.batches = 121;
-  batching.max_batch = 8;
-  batching.mean_batch = 7.81;
-  batching.gather_seconds = 0.0035;
-  batching.forward_seconds = 0.2025;
-  batching.scatter_seconds = 0.0006;
-  stats.batching = batching;
-  report.serve = stats;
-
-  sim::RunReport loaded;
-  std::string error;
-  ASSERT_TRUE(sim::RunReport::parse(report.to_json(), &loaded, &error))
-      << error;
-  ASSERT_TRUE(loaded.serve.has_value());
-  ASSERT_TRUE(loaded.serve->batching.has_value());
-  const sim::ServeStats::Batching& b = *loaded.serve->batching;
-  EXPECT_EQ(b.ticks, 120u);
-  EXPECT_EQ(b.requests, 945u);
-  EXPECT_EQ(b.batches, 121u);
-  EXPECT_EQ(b.max_batch, 8u);
-  EXPECT_DOUBLE_EQ(b.mean_batch, 7.81);
-  EXPECT_DOUBLE_EQ(b.gather_seconds, 0.0035);
-  EXPECT_DOUBLE_EQ(b.forward_seconds, 0.2025);
-  EXPECT_DOUBLE_EQ(b.scatter_seconds, 0.0006);
-}
-
 TEST(EvaluatorTest, DetailedStillMatchesSeedOrderThroughSuitePath) {
   // evaluate_detailed is now a one-cell suite through the single fan-out;
   // seeds and results must be unchanged (seed order, thread invariant).
