@@ -4,7 +4,9 @@
 // Each cell also runs `legacy` — the frozen pre-refactor planner
 // (bench/legacy_planner.hpp) — as the speedup reference, so the euclid-rs
 // row isolates the search-core restructure and the cached rows add the
-// heuristic effect on top. Three measurements per (family, density, mode):
+// heuristic effect on top. Every planner, legacy included, collision-checks
+// with the exact OBB narrow phase, the one path co::CoPlanner takes in an
+// episode. Three measurements per (family, density, mode):
 //
 //   1. Plan wall time over a fixed seed set (mean/max ms) plus the search
 //      counters (expansions and RS-shot attempts per plan).
@@ -52,7 +54,6 @@
 #include "sim/evaluator.hpp"
 #include "sim/report.hpp"
 #include "sim/suite.hpp"
-#include "world/distance_field.hpp"
 #include "world/scenario.hpp"
 
 namespace {
@@ -75,14 +76,12 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// One planning problem: the scenario's statics, bounds and start/goal,
-/// plus the distance field the production co::Planner would query (the
-/// bench mirrors the real collision path, not the analytic-only fallback).
+/// One planning problem: the scenario's statics, bounds and start/goal —
+/// the inputs the production co::CoPlanner hands hybrid-A*.
 struct Problem {
   icoil::geom::Pose2 start, goal;
   std::vector<icoil::geom::Obb> obstacles;
   icoil::geom::Aabb bounds;
-  icoil::world::DistanceField field;
 };
 
 Problem make_problem(const icoil::world::Scenario& scenario) {
@@ -92,7 +91,6 @@ Problem make_problem(const icoil::world::Scenario& scenario) {
   p.bounds = scenario.map.bounds;
   for (const icoil::world::Obstacle& o : scenario.obstacles)
     if (!o.dynamic()) p.obstacles.push_back(o.shape);
-  p.field = icoil::world::DistanceField(p.bounds, p.obstacles);
   return p;
 }
 
@@ -136,8 +134,7 @@ ModeResult run_mode(const std::vector<Problem>& problems,
   // would.
   if (!problems.empty()) {
     const Problem& w = problems.front();
-    (void)astar.plan(w.start, w.goal, w.obstacles, w.bounds, nullptr,
-                     &w.field);
+    (void)astar.plan(w.start, w.goal, w.obstacles, w.bounds);
   }
 
   double total_ms = 0.0, max_ms = 0.0;
@@ -151,7 +148,7 @@ ModeResult run_mode(const std::vector<Problem>& problems,
     for (int rep = 0; rep < g_reps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
       const auto path = astar.plan(p.start, p.goal, p.obstacles, p.bounds,
-                                   nullptr, &p.field, &stats);
+                                   nullptr, &stats);
       const double rep_ms = ms_since(t0);
       ms = rep == 0 ? rep_ms : std::min(ms, rep_ms);
       solved = path.has_value();
@@ -179,8 +176,8 @@ ModeResult run_mode(const std::vector<Problem>& problems,
     for (std::size_t i = 0; i < problems.size(); ++i) {
       const Problem& p = problems[i];
       core::FrameContext frame(rng, nullptr, deadline_ms);
-      const auto path = astar.plan(p.start, p.goal, p.obstacles, p.bounds,
-                                   &frame, &p.field);
+      const auto path =
+          astar.plan(p.start, p.goal, p.obstacles, p.bounds, &frame);
       if (!path.has_value() && frame.deadline_hit()) ++out.row.deadline_hits;
     }
   }
@@ -213,7 +210,7 @@ ModeResult run_legacy(const std::vector<Problem>& problems) {
     for (int rep = 0; rep < g_reps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
       solved = bench::legacy_plan(config, params, p.start, p.goal, p.obstacles,
-                                  p.bounds, &p.field, &stats);
+                                  p.bounds, &stats);
       const double rep_ms = ms_since(t0);
       ms = rep == 0 ? rep_ms : std::min(ms, rep_ms);
     }

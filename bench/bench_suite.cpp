@@ -2,8 +2,8 @@
 // through sim::Evaluator, prints the aggregate table, and optionally writes
 // a versioned sim::RunReport JSON artifact and/or gates the run against a
 // committed baseline report (nonzero exit on success-rate or park-time
-// regression beyond tolerance). Subsumes the duplicated main()s of the
-// table2_success / fig8_sensitivity binaries, which remain as thin wrappers.
+// regression beyond tolerance). `table2_success` stays as a wrapper only for
+// its --curriculum-compare mode.
 //
 // Ctrl-C is clean: SIGINT trips a shared core::CancelToken, the evaluation
 // fan-out drains, and the partial report is still written (meta.aborted)
@@ -17,8 +17,6 @@
 //                        (default: suite-specific; see --list-methods)
 //     --list-methods     print the registered method keys and exit 0
 //     --list-generators  print the registered scenario generators and exit 0
-//     --collision-backend NAME  static-collision backend: analytic | grid
-//     --grid-resolution X       grid backend cell size in metres
 //     --planner-heuristic NAME  hybrid-A* heuristic for CO-backed methods:
 //                        euclid-rs | lut | dijkstra | max (default: max)
 //     --report PATH      write the RunReport JSON artifact
@@ -53,7 +51,6 @@ int usage(const char* argv0) {
                "[--list-methods] [--list-generators] [--report PATH] "
                "[--baseline PATH] [--success-tol X] [--park-tol X] "
                "[--budget S] [--frame-deadline-ms X] "
-               "[--collision-backend analytic|grid] [--grid-resolution X] "
                "[--planner-heuristic euclid-rs|lut|dijkstra|max] "
                "[--per-episode] [--threads N] [--csv PATH] [--quick]\n",
                argv0);
@@ -82,15 +79,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--list-generators") {
       bench::print_registered_generators(stdout);
       return 0;
-    } else if (arg == "--collision-backend") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.collision_backend = v;
-    } else if (arg == "--grid-resolution") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &opts.grid_resolution) ||
-          opts.grid_resolution <= 0.0)
-        return usage(argv[0]);
     } else if (arg == "--planner-heuristic") {
       const char* v = next_value();
       if (v == nullptr) return usage(argv[0]);

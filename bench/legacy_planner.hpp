@@ -22,7 +22,6 @@
 #include "geom/broadphase.hpp"
 #include "geom/obb.hpp"
 #include "vehicle/kinematics.hpp"
-#include "world/distance_field.hpp"
 
 namespace icoil::bench {
 
@@ -52,14 +51,10 @@ struct QueueEntry {
 inline bool pose_free(const vehicle::BicycleModel& model,
                       const co::HybridAStarConfig& config,
                       const geom::Pose2& pose, const geom::ObbSet& obstacles,
-                      const geom::Aabb& bounds,
-                      const world::DistanceField* field) {
+                      const geom::Aabb& bounds) {
   const geom::Obb fp = model.footprint(pose).inflated(config.obstacle_margin);
   for (const geom::Vec2& c : fp.corners())
     if (!bounds.contains(c)) return false;
-  if (field != nullptr &&
-      field->probe(fp) == world::DistanceField::Probe::kFree)
-    return true;
   return !obstacles.any_overlap(fp);
 }
 
@@ -73,7 +68,6 @@ inline bool legacy_plan(const co::HybridAStarConfig& config,
                         const geom::Pose2& start, const geom::Pose2& goal,
                         const std::vector<geom::Obb>& obstacles,
                         const geom::Aabb& bounds,
-                        const world::DistanceField* field,
                         LegacyStats* stats = nullptr) {
   using legacy_detail::Node;
   using legacy_detail::QueueEntry;
@@ -84,8 +78,7 @@ inline bool legacy_plan(const co::HybridAStarConfig& config,
   const geom::ObbSet obstacle_set(obstacles);
 
   auto pose_free = [&](const geom::Pose2& p) {
-    return legacy_detail::pose_free(model, config, p, obstacle_set, bounds,
-                                    field);
+    return legacy_detail::pose_free(model, config, p, obstacle_set, bounds);
   };
 
   auto heuristic = [&](const geom::Pose2& p) {

@@ -165,15 +165,12 @@ void BM_HybridAStarHeuristic(benchmark::State& state) {
   co::HybridAStarConfig config;
   config.heuristic = static_cast<co::HeuristicMode>(state.range(0));
   state.SetLabel(co::to_string(config.heuristic));
-  const world::DistanceField field(sc.map.bounds, obstacles);
   const co::HybridAStar astar(config, vehicle::VehicleParams{});
   // Fill the LUT entries this plan reads outside the timed loop.
-  (void)astar.plan(sc.start_pose, sc.map.goal_pose, obstacles, sc.map.bounds,
-                   nullptr, &field);
+  (void)astar.plan(sc.start_pose, sc.map.goal_pose, obstacles, sc.map.bounds);
   for (auto _ : state) {
     benchmark::DoNotOptimize(astar.plan(sc.start_pose, sc.map.goal_pose,
-                                        obstacles, sc.map.bounds, nullptr,
-                                        &field));
+                                        obstacles, sc.map.bounds));
   }
 }
 BENCHMARK(BM_HybridAStarHeuristic)
@@ -183,21 +180,16 @@ BENCHMARK(BM_HybridAStarHeuristic)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
-// Static clearance through both collision backends at growing obstacle
-// count: the analytic OBB narrow phase scans every box, the grid backend
-// answers from the distance field in O(1) outside its conservative band.
+// Static clearance (the exact OBB narrow phase behind its broad phase) at
+// growing obstacle count.
 void BM_Clearance(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0));
-  const bool use_grid = state.range(1) != 0;
   world::ScenarioOptions options;
   options.generator = "crowded_lot";
   options.difficulty = world::Difficulty::kNormal;
   options.params.set("density", density);
   const world::Scenario sc = world::make_scenario(options, 7);
-  const world::World world{
-      sc, {use_grid ? world::CollisionBackend::kGrid
-                    : world::CollisionBackend::kAnalytic,
-           world::DistanceField::kDefaultResolution}};
+  const world::World world{sc};
   const vehicle::BicycleModel model{vehicle::VehicleParams{}};
   math::Rng rng(99);
   std::vector<geom::Obb> fps;
@@ -213,9 +205,7 @@ void BM_Clearance(benchmark::State& state) {
     i = (i + 1) % fps.size();
   }
 }
-BENCHMARK(BM_Clearance)
-    ->ArgsProduct({{1, 4, 10}, {0, 1}})  // {density, grid?}
-    ->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_Clearance)->Arg(1)->Arg(4)->Arg(10)->Unit(benchmark::kNanosecond);
 
 void BM_BevRasterize(benchmark::State& state) {
   world::ScenarioOptions options;

@@ -34,9 +34,6 @@ struct RunSuiteOptions {
   int threads = 0;             ///< EvalConfig::num_threads (0 = hardware)
   double wall_budget = 0.0;    ///< per-cell wall-clock budget [s]; <=0 = off
   double frame_deadline_ms = 0.0;  ///< per-frame controller budget; <=0 = off
-  /// Static-collision backend name ("analytic" | "grid"); "" = analytic.
-  std::string collision_backend;
-  double grid_resolution = 0.0;    ///< grid cell size [m]; <=0 = default
   /// Hybrid-A* heuristic mode for CO-backed methods
   /// ("euclid-rs" | "lut" | "dijkstra" | "max"); "" = the planner default.
   std::string planner_heuristic;
@@ -232,17 +229,6 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
   eval_config.abort = opts.abort;
   if (opts.frame_deadline_ms > 0.0)
     eval_config.sim.frame_deadline_ms = opts.frame_deadline_ms;
-  if (!opts.collision_backend.empty() &&
-      !world::parse_collision_backend(opts.collision_backend,
-                                      &eval_config.sim.collision_backend)) {
-    std::fprintf(stderr,
-                 "bench_suite: unknown collision backend \"%s\" "
-                 "(expected analytic|grid)\n",
-                 opts.collision_backend.c_str());
-    return 2;
-  }
-  if (opts.grid_resolution > 0.0)
-    eval_config.sim.grid_resolution = opts.grid_resolution;
   eval_config.sim.planner_heuristic = heuristic;
   sim::Evaluator evaluator(eval_config);
 

@@ -128,14 +128,10 @@ bool HybridAStar::pose_free(const geom::Pose2& pose,
 
 bool HybridAStar::pose_free(const geom::Pose2& pose,
                             const geom::ObbSet& obstacles,
-                            const geom::Aabb& bounds,
-                            const world::DistanceField* field) const {
+                            const geom::Aabb& bounds) const {
   const geom::Obb fp = model_.footprint(pose).inflated(config_.obstacle_margin);
   for (const geom::Vec2& c : fp.corners())
     if (!bounds.contains(c)) return false;
-  if (field != nullptr &&
-      field->probe(fp) == world::DistanceField::Probe::kFree)
-    return true;
   return !obstacles.any_overlap(fp);
 }
 
@@ -159,7 +155,6 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
                                          const std::vector<geom::Obb>& obstacles,
                                          const geom::Aabb& bounds,
                                          const core::FrameContext* frame,
-                                         const world::DistanceField* field,
                                          PlanStats* stats) const {
   PlanStats local_stats;
   PlanStats& st = stats != nullptr ? *stats : local_stats;
@@ -170,11 +165,8 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
   // Broad-phase cache: every expansion probes the same obstacle set.
   const geom::ObbSet obstacle_set(obstacles);
 
-  // Heuristic terms per the configured mode. The Dijkstra sweep always runs
-  // over a raster built HERE from the raw obstacles (never the caller's
-  // collision `field`, whose presence and resolution depend on the
-  // collision backend) — the heuristic, and so the returned path, must be
-  // identical under every backend.
+  // Heuristic terms per the configured mode. The Dijkstra sweep runs over a
+  // raster built here from the raw obstacles.
   const HeuristicMode mode = config_.heuristic;
   const bool use_exact_rs = mode == HeuristicMode::kEuclidRs;
   const bool use_lut =
@@ -252,7 +244,7 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> open;
   BestGTable best_g;
 
-  if (!pose_free(start, obstacle_set, bounds, field)) return std::nullopt;
+  if (!pose_free(start, obstacle_set, bounds)) return std::nullopt;
   {
     Node root;
     root.pose = start;
@@ -289,26 +281,6 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
       templates.push_back(tmpl);
     }
   }
-
-  // Sphere-marching short-circuit: with the EDT present, one conservative
-  // point lookup certifies a travel budget — every footprint whose rear
-  // axle stays within the returned distance of the probed point is provably
-  // inside bounds and clear of the statics (the lookup is a lower bound and
-  // r_cover is the footprint circumradius about the axle, margin included),
-  // so per-pose narrow-phase checks inside the budget can be skipped
-  // without changing a single accept/reject verdict.
-  const double r_cover =
-      std::abs(params_.center_offset) +
-      std::hypot(params_.length / 2.0 + config_.obstacle_margin,
-                 params_.width / 2.0 + config_.obstacle_margin);
-  auto certified_travel = [&](geom::Vec2 pos) {
-    if (field == nullptr) return 0.0;
-    const double db =
-        std::min(std::min(pos.x - bounds.min.x, bounds.max.x - pos.x),
-                 std::min(pos.y - bounds.min.y, bounds.max.y - pos.y));
-    return std::min(field->point_clearance(pos), db) - r_cover;
-  };
-  const double substep_len = config_.step / kArcSubsteps;
 
   int expansions = 0;
   int pops_since_shot = config_.rs_shot_period;  // allow an immediate try
@@ -347,10 +319,8 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
         // goal corridor is blocked, every attempt collides near the goal —
         // the one part all shots share — so the backward walk rejects each
         // in a handful of probes instead of re-checking the long clear run
-        // from the start side. Consecutive samples sit at most sample_step
-        // apart along the path, so one clearance probe certifies whole runs
-        // of them (in either direction). Check order never changes the
-        // verdict: every sample must be free either way.
+        // from the start side. Check order never changes the verdict: every
+        // sample must be free either way.
         shot.clear();
         rs.for_each_sample(snapshot.pose, *path, config_.sample_step,
                            [&](const RsSample& s) {
@@ -358,19 +328,10 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
                              return true;
                            });
         bool free = true;
-        double certified = 0.0;
         for (std::size_t i = shot.size(); i-- > 0;) {
-          if (certified >= config_.sample_step) {
-            certified -= config_.sample_step;
-            continue;
-          }
-          certified = certified_travel(shot[i].pose.position);
-          if (certified <= 0.0) {
-            certified = 0.0;
-            if (!pose_free(shot[i].pose, obstacle_set, bounds, field)) {
-              free = false;
-              break;
-            }
+          if (!pose_free(shot[i].pose, obstacle_set, bounds)) {
+            free = false;
+            break;
           }
         }
         if (free) {
@@ -383,13 +344,9 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
     }
 
     // Expand motion primitives by transforming each template through the
-    // node pose: one sin/cos per expansion, no allocation per node. One
-    // clearance probe at the node certifies every substep within its travel
-    // budget across ALL templates (substep k sits at most (k+1) substeps of
-    // arc length from the node), skipping their narrow-phase checks.
+    // node pose: one sin/cos per expansion, no allocation per node.
     const double ch = std::cos(snapshot.pose.heading);
     const double sh = std::sin(snapshot.pose.heading);
-    const double node_certified = certified_travel(snapshot.pose.position);
     for (const ArcTemplate& tmpl : templates) {
       Node next;
       next.arc_len = kArcSubsteps;
@@ -400,8 +357,7 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
             snapshot.pose.position.x + s.lx * ch - s.ly * sh,
             snapshot.pose.position.y + s.lx * sh + s.ly * ch,
             geom::wrap_angle(snapshot.pose.heading + s.dheading)};
-        if ((k + 1) * substep_len > node_certified &&
-            !pose_free(p, obstacle_set, bounds, field)) {
+        if (!pose_free(p, obstacle_set, bounds)) {
           free = false;
           break;
         }

@@ -11,7 +11,6 @@
 #include "geom/broadphase.hpp"
 #include "geom/obb.hpp"
 #include "vehicle/kinematics.hpp"
-#include "world/distance_field.hpp"
 
 namespace icoil::co {
 
@@ -73,11 +72,9 @@ struct HybridAStarConfig {
   double lut_fine_extent = 12.0;
   double lut_fine_xy_resolution = 0.35;
   int lut_fine_heading_bins = 72;
-  /// Cell size of the per-plan Dijkstra cost-to-go raster [m]. Built by
-  /// plan() itself from the raw obstacles (never from the caller's
-  /// collision field), so the heuristic — and therefore the returned path —
-  /// is identical under every collision backend. 0.4 m keeps the sweep
-  /// under ~0.5 ms on a lot-sized raster.
+  /// Cell size of the per-plan Dijkstra cost-to-go raster [m], built by
+  /// plan() itself from the raw obstacles. 0.4 m keeps the sweep under
+  /// ~0.5 ms on a lot-sized raster.
   double costmap_resolution = 0.4;
   /// Analytic-expansion throttle: inside rs_shot_radius every pop attempts
   /// the RS shot; outside, one attempt every rs_shot_period pops per
@@ -110,16 +107,13 @@ class HybridAStar {
   /// Returns nullopt when no path is found within the expansion budget.
   /// With `frame` set, the node-expansion loop polls it and gives up early
   /// (nullopt — callers fall back to Reeds-Shepp) once the budget trips.
-  /// With `field` set (the grid collision backend's distance field over the
-  /// SAME static obstacles), every expansion probe first tries the O(1)
-  /// certainly-free lookup and only runs the OBB narrow phase inside the
-  /// conservative band — identical accept/reject decisions, cheaper search.
-  /// With `stats` set, expansion/shot counters are written there.
+  /// Every expansion and analytic-shot sample is checked with the exact OBB
+  /// narrow phase. With `stats` set, expansion/shot counters are written
+  /// there.
   std::optional<RefPath> plan(const geom::Pose2& start, const geom::Pose2& goal,
                               const std::vector<geom::Obb>& obstacles,
                               const geom::Aabb& bounds,
                               const core::FrameContext* frame = nullptr,
-                              const world::DistanceField* field = nullptr,
                               PlanStats* stats = nullptr) const;
 
   /// Straight-to-goal fallback: a pure Reeds-Shepp path ignoring obstacles.
@@ -132,12 +126,9 @@ class HybridAStar {
   bool pose_free(const geom::Pose2& pose, const std::vector<geom::Obb>& obstacles,
                  const geom::Aabb& bounds) const;
   /// Broad-phase variant used by the search loop: `obstacles` carries
-  /// prebuilt AABBs so thousands of expansion probes prune cheaply. An
-  /// optional distance `field` short-circuits certainly-free probes in O(1)
-  /// before the set is consulted (exact — see plan()).
+  /// prebuilt AABBs so thousands of expansion probes prune cheaply.
   bool pose_free(const geom::Pose2& pose, const geom::ObbSet& obstacles,
-                 const geom::Aabb& bounds,
-                 const world::DistanceField* field = nullptr) const;
+                 const geom::Aabb& bounds) const;
 
  private:
   HybridAStarConfig config_;

@@ -20,7 +20,7 @@ bool CoPlanner::plan_reference(const geom::Pose2& start, const geom::Pose2& goal
   static_obstacles_ = static_obstacles;
   bounds_ = bounds;
   if (auto path = astar_.plan(start, goal, static_obstacles, bounds, frame,
-                              field_, &plan_stats_)) {
+                              &plan_stats_)) {
     ref_ = std::move(*path);
   } else {
     ref_ = astar_.reeds_shepp_fallback(start, goal);
@@ -39,9 +39,7 @@ void CoPlanner::defer_reference(const geom::Pose2& start,
   pending_goal_ = goal;
   pending_static_ = std::move(static_obstacles);
   pending_bounds_ = bounds;
-  // The old episode's reference is stale the moment a new one is deferred,
-  // and so is any distance field borrowed from that episode's world.
-  field_ = nullptr;
+  // The old episode's reference is stale the moment a new one is deferred.
   ref_ = RefPath{};
   reset_progress();
 }

@@ -85,13 +85,9 @@ class CoPlanner {
   void set_reference(RefPath path, std::vector<geom::Obb> static_obstacles = {},
                      std::optional<geom::Aabb> bounds = std::nullopt);
 
-  /// Distance field over the episode's static obstacles (grid collision
-  /// backend). When set, hybrid-A* expansion probes use its O(1)
-  /// certainly-free fast path. Non-owning; pass nullptr for the analytic
-  /// backend. Cleared by defer_reference() so a stale field from a previous
-  /// episode's world can never leak into the next plan — controllers re-set
-  /// it from the live World each act().
-  void set_distance_field(const world::DistanceField* field) { field_ = field; }
+  /// Does nothing. Its only caller is perfbench/src/traced_controllers.hpp;
+  /// delete both together.
+  void set_distance_field(const world::DistanceField*) {}
 
   /// One control step: track the reference while avoiding `detections`.
   /// With `frame` set, the trajectory optimizer polls the frame budget
@@ -125,7 +121,6 @@ class CoPlanner {
   TrajOpt trajopt_;
   HybridAStar astar_;
   RefPath ref_;
-  const world::DistanceField* field_ = nullptr;
   std::vector<geom::Obb> static_obstacles_;
   std::optional<geom::Aabb> bounds_;
   // Deferred-plan inputs (defer_reference -> ensure_reference).

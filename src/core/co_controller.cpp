@@ -28,9 +28,6 @@ vehicle::Command CoController::act(const world::World& world,
                                    const vehicle::State& state,
                                    FrameContext& frame) {
   const auto t0 = std::chrono::steady_clock::now();
-  // Borrow the world's distance field (grid backend; nullptr otherwise) so a
-  // deferred hybrid-A* plan running this frame gets the O(1) fast path.
-  planner_.set_distance_field(world.distance_field());
   const auto detections =
       detector_->detect(world, state.pose.position, frame.rng());
   const vehicle::Command cmd = planner_.act(state, detections, &frame);

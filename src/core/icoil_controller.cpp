@@ -47,7 +47,6 @@ vehicle::Command IcoilController::act(const world::World& world,
   // Plan the deferred reference up front, not on the CO branch: it must
   // exist whichever mode wins this frame, or the first CO takeover after an
   // IL start would pay the full search mid-episode.
-  planner_.set_distance_field(world.distance_field());
   planner_.ensure_reference(&frame);
 
   // (a) IL inference — always runs; HSA needs the output distribution.
@@ -62,7 +61,6 @@ void IcoilController::stage(const world::World& world,
                             const vehicle::State& state, FrameContext& frame,
                             il::BatchInferencer& service) {
   stage_t0_ = std::chrono::steady_clock::now();
-  planner_.set_distance_field(world.distance_field());
   planner_.ensure_reference(&frame);
   const sense::BevImage bev = sense(world, state, frame);
   slot_ = service.submit(il::make_observation(bev, state.speed));

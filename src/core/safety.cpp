@@ -16,9 +16,8 @@ bool SafetyMonitor::rollout_collides(const world::World& world,
     s = model_.step(s, cmd, config_.dt);
     const double t = world.time() + i * config_.dt;
     const geom::Obb fp = model_.footprint(s).inflated(config_.margin);
-    // Statics hold still over the rollout: the world's backend-aware query
-    // reuses its broad-phase cache (and, under the grid backend, the
-    // distance field's O(1) certainly-free fast path).
+    // Statics hold still over the rollout: the world's query reuses its
+    // broad-phase cache.
     if (world.static_collision(fp)) return true;
     // Dynamic obstacles move during the rollout: check predicted footprints.
     const geom::Aabb fp_bb = fp.aabb();

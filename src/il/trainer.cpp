@@ -52,9 +52,11 @@ TrainReport Trainer::train(IlPolicy& policy, const Dataset& dataset,
       config_.num_threads, static_cast<int>(train_set.size()),
       config_.thread_cap);
 
-  // Worker clones: each gradient shard needs its own activation caches.
+  // One clone per gradient shard: each needs its own activation caches.
+  // The shard count is fixed (not the pool width), so the per-shard sums
+  // and their reduction order do not depend on the thread count.
   std::vector<std::unique_ptr<IlPolicy>> workers;
-  for (int t = 0; t < threads; ++t) workers.push_back(policy.clone());
+  for (int t = 0; t < kShards; ++t) workers.push_back(policy.clone());
 
   // One persistent pool for the whole training run; wait_idle() is the
   // per-batch barrier (the old code spawned and joined a fresh thread set
@@ -79,14 +81,14 @@ TrainReport Trainer::train(IlPolicy& policy, const Dataset& dataset,
       const std::size_t batch_n = std::min<std::size_t>(
           static_cast<std::size_t>(config_.batch_size), train_set.size() - begin);
       const int active = static_cast<int>(
-          std::min<std::size_t>(static_cast<std::size_t>(threads), batch_n));
+          std::min<std::size_t>(static_cast<std::size_t>(kShards), batch_n));
       const std::size_t shard = (batch_n + active - 1) / active;
 
       policy.network().zero_grad();
       std::vector<ShardResult> results(static_cast<std::size_t>(active));
       for (int t = 0; t < active; ++t) {
-        // Shards are keyed by shard index (not pool worker index): clones
-        // outnumber concurrent shards, so any worker may run any shard.
+        // Shards are keyed by shard index (not pool worker index), so any
+        // worker may run any shard.
         pool.submit([&, t](const core::TaskPool::Context&) {
           IlPolicy& w = *workers[static_cast<std::size_t>(t)];
           copy_params(main_params, w.network().params());

@@ -17,6 +17,9 @@ struct TrainConfig {
   double validation_fraction = 0.1;
   std::uint64_t shuffle_seed = 11u;
   /// Worker threads for data-parallel gradient computation (0 = hardware).
+  /// Each batch splits into a fixed number of gradient shards
+  /// (Trainer::kShards) whatever the pool width, so the trained weights do
+  /// not depend on the thread count.
   int num_threads = 0;
   /// Upper bound on the hardware-derived default worker count (gradient
   /// shards stop paying off beyond a handful of workers at these batch
@@ -45,6 +48,12 @@ struct TrainReport {
 /// one network).
 class Trainer {
  public:
+  /// Gradient shards per batch (fewer when the batch is smaller). Shard
+  /// gradients are summed in shard order, so the result is the same at any
+  /// pool width; changing this changes trained weights (policy caches are
+  /// keyed on it through sim::policy_fingerprint).
+  static constexpr int kShards = 8;
+
   explicit Trainer(TrainConfig config = {}) : config_(config) {}
 
   const TrainConfig& config() const { return config_; }

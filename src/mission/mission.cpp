@@ -293,8 +293,7 @@ LegResult Mission::run_dwell() {
   sc.time_limit = spec_.leg_time_limit;
 
   // No Session: the ego is parked (engine off), only traffic advances.
-  world::World world(sc, world::WorldConfig{config_.sim.collision_backend,
-                                            config_.sim.grid_resolution});
+  world::World world(sc);
   world.set_time(elapsed_);
   traffic_.attach(world);
   traffic_.set_ego(ego_.pose);

@@ -108,6 +108,9 @@ std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
 
 std::uint64_t policy_fingerprint(const PolicyStoreOptions& options) {
   math::Fnv1a h(dataset_fingerprint(options.expert, options.policy));
+  // The gradient shard count fixes the summation order, and with it the
+  // trained weights, so it is part of the cache key.
+  h.add_int(il::Trainer::kShards);
   for (int c : options.policy.conv_channels) h.add_int(c);
   for (int w : options.policy.fc_sizes) h.add_int(w);
   h.add_int(options.train.epochs);

@@ -529,11 +529,6 @@ std::uint64_t config_fingerprint(const EvalConfig& config) {
   // A frame deadline changes which commands controllers emit, so two runs
   // with different deadlines are not outcome-comparable.
   h.add_double(config.sim.frame_deadline_ms);
-  // The grid backend keeps collision verdicts exact, but reported clearance
-  // values become conservative lower bounds (resolution sets the band), so
-  // clearance-bearing stats are only comparable within one backend setting.
-  h.add_int(static_cast<std::int64_t>(config.sim.collision_backend));
-  h.add_double(config.sim.grid_resolution);
   // Heuristic modes steer the search through different node orders, so two
   // runs under different modes may return different paths for one scenario.
   h.add_int(static_cast<std::int64_t>(config.sim.planner_heuristic));

@@ -32,9 +32,7 @@ Session::Session(const world::Scenario& scenario, core::Controller& controller,
     : config_(config), controller_(&controller),
       batch_client_(dynamic_cast<core::BatchClient*>(&controller)),
       cancel_(cancel), rng_(seed ^ 0x51D5EEDull),
-      world_(scenario,
-             world::WorldConfig{config.collision_backend,
-                                config.grid_resolution}),
+      world_(scenario),
       model_() /* default params (matches controllers) */,
       max_frames_(
           static_cast<std::size_t>(scenario.time_limit / config.dt)) {

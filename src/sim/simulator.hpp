@@ -54,13 +54,6 @@ struct SimConfig {
   /// core::FrameContext each step. <= 0 = unlimited. Budgets make results
   /// timing-dependent; leave off when bit-identical reproducibility matters.
   double frame_deadline_ms = 0.0;
-  /// Static-collision backend for the episode's World. The grid backend
-  /// builds a world::DistanceField per scenario and fast-paths
-  /// certainly-free queries; collision VERDICTS stay exact (uncertain
-  /// lookups fall back to the analytic narrow phase) — only reported
-  /// clearance values become conservative lower bounds.
-  world::CollisionBackend collision_backend = world::CollisionBackend::kAnalytic;
-  double grid_resolution = world::DistanceField::kDefaultResolution;  ///< [m]
   /// Hybrid-A* heuristic mode of the run's CO-backed controllers. The sim
   /// loop itself never reads this: drivers (suite_runner, bench_planner)
   /// copy it into the controller configs they build, and it is recorded

@@ -5,26 +5,6 @@
 
 namespace icoil::world {
 
-const char* to_string(CollisionBackend backend) {
-  switch (backend) {
-    case CollisionBackend::kAnalytic: return "analytic";
-    case CollisionBackend::kGrid: return "grid";
-  }
-  return "?";
-}
-
-bool parse_collision_backend(const std::string& name, CollisionBackend* out) {
-  if (name == "analytic") {
-    *out = CollisionBackend::kAnalytic;
-    return true;
-  }
-  if (name == "grid") {
-    *out = CollisionBackend::kGrid;
-    return true;
-  }
-  return false;
-}
-
 namespace {
 
 /// Squared-distance sentinel for "no occupied cell seen yet" — far above
@@ -84,7 +64,7 @@ DistanceField::DistanceField(const geom::Aabb& bounds,
 
   // Mark every cell whose centre lies within an obstacle inflated by the
   // half cell diagonal: every point of the true obstacle then lives in a
-  // marked cell (the conservativeness contract point_clearance relies on).
+  // marked cell (the conservativeness contract callers rely on).
   std::vector<std::uint8_t> occupied(
       static_cast<std::size_t>(width_) * height_, 0);
   const double dilation = 0.5 * std::sqrt(2.0) * resolution_;
@@ -129,16 +109,15 @@ DistanceField DistanceField::from_raster(
 void DistanceField::build_edt(const std::vector<std::uint8_t>& occupied) {
   const std::size_t cells = static_cast<std::size_t>(width_) * height_;
   distance_.assign(cells, static_cast<float>(geom::kMaxClearance));
-  occupied_.assign(cells, 0);
-  for (std::size_t i = 0; i < cells && i < occupied.size(); ++i)
-    occupied_[i] = occupied[i] != 0 ? 1 : 0;
-  any_occupied_ = false;
-  for (std::size_t i = 0; i < cells; ++i)
-    if (occupied_[i] != 0) {
-      any_occupied_ = true;
-      break;
-    }
-  if (!any_occupied_) return;
+  // Cells past the end of a short raster count as free.
+  const std::size_t given = std::min(cells, occupied.size());
+  auto is_occupied = [&](std::size_t i) {
+    return i < given && occupied[i] != 0;
+  };
+  bool any_occupied = false;
+  for (std::size_t i = 0; i < given && !any_occupied; ++i)
+    any_occupied = is_occupied(i);
+  if (!any_occupied) return;
 
   // Two-pass exact EDT over squared distances in cell units: columns first,
   // then rows of the column result.
@@ -149,7 +128,7 @@ void DistanceField::build_edt(const std::vector<std::uint8_t>& occupied) {
 
   for (int ix = 0; ix < width_; ++ix) {
     for (int iy = 0; iy < height_; ++iy)
-      f[iy] = occupied[static_cast<std::size_t>(iy) * width_ + ix] != 0
+      f[iy] = is_occupied(static_cast<std::size_t>(iy) * width_ + ix)
                   ? 0.0
                   : kInfSq;
     edt_1d(f.data(), d.data(), v.data(), z.data(), height_);
@@ -167,90 +146,6 @@ void DistanceField::build_edt(const std::vector<std::uint8_t>& occupied) {
   for (std::size_t i = 0; i < cells; ++i)
     distance_[i] = static_cast<float>(
         std::min(std::sqrt(sq[i]) * resolution_, geom::kMaxClearance));
-}
-
-double DistanceField::point_clearance(geom::Vec2 p) const {
-  if (empty() || !any_occupied_) return geom::kMaxClearance;
-  const int ix = static_cast<int>(std::floor((p.x - origin_.x) / resolution_));
-  const int iy = static_cast<int>(std::floor((p.y - origin_.y) / resolution_));
-  if (ix < 0 || ix >= width_ || iy < 0 || iy >= height_) return 0.0;
-  const double d = cell_distance(ix, iy);
-  if (d >= geom::kMaxClearance) return geom::kMaxClearance;
-  return std::max(0.0, d - slack_);
-}
-
-double DistanceField::clearance(const geom::Obb& fp) const {
-  if (empty() || !any_occupied_) return geom::kMaxClearance;
-  // Cover the box with K discs along its long local axis: slab half-length
-  // d <= half-width/2 keeps the radius overshoot (r - hw) under ~12% of the
-  // half width, so the bound stays tight enough for the fallback band.
-  double hl = fp.half_length;
-  double hw = fp.half_width;
-  double axis_heading = fp.heading;
-  if (hw > hl) {
-    std::swap(hl, hw);
-    axis_heading += geom::kPi / 2.0;
-  }
-  const int k = std::clamp(
-      static_cast<int>(std::ceil(2.0 * hl / std::max(hw, 1e-6))), 1, 32);
-  const double d = hl / k;
-  const double r = std::sqrt(d * d + hw * hw);
-  const geom::Vec2 axis{std::cos(axis_heading), std::sin(axis_heading)};
-
-  double best = geom::kMaxClearance;
-  for (int i = 0; i < k; ++i) {
-    const geom::Vec2 c = fp.center + axis * (-hl + (2 * i + 1) * d);
-    const double pc = point_clearance(c);
-    if (pc >= geom::kMaxClearance) continue;
-    best = std::min(best, pc - r);
-    if (best <= 0.0) return 0.0;
-  }
-  if (best >= geom::kMaxClearance) return geom::kMaxClearance;
-  return std::max(0.0, best);
-}
-
-DistanceField::ClearanceBounds DistanceField::clearance_bounds(
-    const geom::Obb& fp) const {
-  ClearanceBounds bounds;
-  if (empty() || !any_occupied_) return bounds;
-  double hl = fp.half_length;
-  double hw = fp.half_width;
-  double axis_heading = fp.heading;
-  if (hw > hl) {
-    std::swap(hl, hw);
-    axis_heading += geom::kPi / 2.0;
-  }
-  const int k = std::clamp(
-      static_cast<int>(std::ceil(2.0 * hl / std::max(hw, 1e-6))), 1, 32);
-  const double d = hl / k;
-  const double r = std::sqrt(d * d + hw * hw);
-  const geom::Vec2 axis{std::cos(axis_heading), std::sin(axis_heading)};
-  // Upper-bound slack: in-cell quantization of the disc centre (half cell
-  // diagonal) + the marked cell centre's own distance to the true obstacle
-  // (the raster dilation's worst corner, one full cell).
-  const double upper_slack = (0.5 * std::sqrt(2.0) + 1.0) * resolution_;
-
-  double lo = geom::kMaxClearance;
-  double hi = geom::kMaxClearance;
-  for (int i = 0; i < k; ++i) {
-    const geom::Vec2 c = fp.center + axis * (-hl + (2 * i + 1) * d);
-    const int ix =
-        static_cast<int>(std::floor((c.x - origin_.x) / resolution_));
-    const int iy =
-        static_cast<int>(std::floor((c.y - origin_.y) / resolution_));
-    if (ix < 0 || ix >= width_ || iy < 0 || iy >= height_) {
-      lo = 0.0;  // unknown territory: no lower-bound claim, no upper info
-      continue;
-    }
-    const double dist = cell_distance(ix, iy);
-    if (dist >= geom::kMaxClearance) continue;
-    lo = std::min(lo, dist - slack_ - r);
-    hi = std::min(hi, dist + upper_slack);
-  }
-  bounds.lower = lo >= geom::kMaxClearance ? geom::kMaxClearance
-                                           : std::max(0.0, lo);
-  bounds.upper = hi;
-  return bounds;
 }
 
 }  // namespace icoil::world

@@ -5,8 +5,7 @@
 // keeps a feasible start and a reachable goal. Recognized parameters:
 //   num_obstacles   total roster size incl. 2 dynamics (default 10, min 8)
 //   density         multiplier on the clutter count (default 1.0); the
-//                   10x setting of the collision-backend ablation packs
-//                   ~60 clutter boxes into the same lot
+//                   10x setting packs ~60 clutter boxes into the same lot
 
 #include <algorithm>
 #include <cmath>

@@ -6,8 +6,7 @@
 
 namespace icoil::world {
 
-World::World(Scenario scenario, WorldConfig config)
-    : scenario_(std::move(scenario)), config_(config) {
+World::World(Scenario scenario) : scenario_(std::move(scenario)) {
   slot_of_.assign(scenario_.obstacles.size(), -1);
   for (std::size_t i = 0; i < scenario_.obstacles.size(); ++i) {
     const Obstacle& o = scenario_.obstacles[i];
@@ -19,9 +18,6 @@ World::World(Scenario scenario, WorldConfig config)
     }
   }
   driven_.resize(dynamic_indices_.size());
-  if (config_.backend == CollisionBackend::kGrid)
-    field_.emplace(scenario_.map.bounds, static_set_.boxes(),
-                   config_.grid_resolution);
   refresh_dynamic_boxes();
 }
 
@@ -102,38 +98,12 @@ std::vector<std::size_t> World::free_bays() const {
   return out;
 }
 
-bool World::static_collision(const geom::Obb& footprint) const {
-  // Grid fast path: a certainly-free distance-field probe skips the
-  // analytic narrow phase; anything within the conservative band runs it,
-  // so the verdict matches the analytic backend exactly.
-  if (field_.has_value() &&
-      field_->probe(footprint) == DistanceField::Probe::kFree)
-    return false;
-  return static_set_.any_overlap(footprint);
-}
-
-double World::static_clearance(const geom::Obb& footprint,
-                               double cutoff) const {
-  if (field_.has_value()) {
-    const DistanceField::ClearanceBounds b =
-        field_->clearance_bounds(footprint);
-    if (b.lower >= cutoff) return cutoff;
-    // Outside the fallback band the conservative bound is the answer; near
-    // contact the analytic distance keeps min-clearance stats sharp. The
-    // field's upper bound caps that fallback's cutoff so the broad phase
-    // prunes every box beyond it (the true distance can't exceed it).
-    if (b.lower > config_.grid_resolution) return b.lower;
-    return static_set_.min_distance(footprint, std::min(cutoff, b.upper));
-  }
-  return static_set_.min_distance(footprint, cutoff);
-}
-
 bool World::in_collision(const geom::Obb& footprint) const {
   // Lot boundary: every footprint corner must stay inside.
   for (const geom::Vec2& c : footprint.corners())
     if (!scenario_.map.bounds.contains(c)) return true;
-  // Statics through the backend, dynamics with an AABB prefilter on their
-  // cached current footprints.
+  // Statics through the broad phase, dynamics with an AABB prefilter on
+  // their cached current footprints.
   if (static_collision(footprint)) return true;
   const geom::Aabb fp_bb = footprint.aabb();
   for (std::size_t k = 0; k < dynamic_boxes_.size(); ++k) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "geom/broadphase.hpp"
@@ -17,16 +16,6 @@ struct ObstacleState {
   geom::Obb box;
   geom::Vec2 velocity;
   bool dynamic = false;
-};
-
-/// Collision-backend selection for a World instance. The grid backend
-/// rasterizes the static obstacles into a DistanceField once at
-/// construction; collision verdicts stay exact (uncertain lookups fall back
-/// to the analytic narrow phase), clearance values become conservative
-/// lower bounds outside the fallback band.
-struct WorldConfig {
-  CollisionBackend backend = CollisionBackend::kAnalytic;
-  double grid_resolution = DistanceField::kDefaultResolution;  ///< [m/cell]
 };
 
 class World;
@@ -49,11 +38,10 @@ class WorldDriver {
 /// sensing module corrupts it into observations.
 class World {
  public:
-  explicit World(Scenario scenario, WorldConfig config = {});
+  explicit World(Scenario scenario);
 
   const Scenario& scenario() const { return scenario_; }
   const ParkingLotMap& map() const { return scenario_.map; }
-  const WorldConfig& config() const { return config_; }
   double time() const { return time_; }
 
   /// Advance world time (moves scripted obstacles, then the driver's).
@@ -115,23 +103,21 @@ class World {
   /// dynamic_obstacle_indices().
   const std::vector<geom::Obb>& dynamic_boxes() const { return dynamic_boxes_; }
 
-  /// The static distance field (grid backend only; nullptr for analytic).
-  /// Stable for the World's lifetime — hand it to planners for the
-  /// pose_free fast path.
-  const DistanceField* distance_field() const {
-    return field_.has_value() ? &*field_ : nullptr;
-  }
+  /// Always nullptr: the World keeps no distance field. Its only caller is
+  /// perfbench/src/traced_controllers.hpp; delete both together.
+  const DistanceField* distance_field() const { return nullptr; }
 
-  /// True when `footprint` hits a STATIC obstacle. Backend-aware but exact
-  /// either way: the grid fast path only short-circuits certainly-free
-  /// queries. (Shared with the safety monitor's rollout.)
-  bool static_collision(const geom::Obb& footprint) const;
-  /// Distance from `footprint` to the nearest static obstacle, clamped to
-  /// `cutoff`. Under the grid backend this is a conservative lower bound
-  /// when the footprint is more than one cell clear of the set, the exact
-  /// analytic distance inside that band.
+  /// True when `footprint` hits a STATIC obstacle (exact OBB narrow phase;
+  /// shared with the safety monitor's rollout).
+  bool static_collision(const geom::Obb& footprint) const {
+    return static_set_.any_overlap(footprint);
+  }
+  /// Exact distance from `footprint` to the nearest static obstacle,
+  /// clamped to `cutoff`.
   double static_clearance(const geom::Obb& footprint,
-                          double cutoff = geom::kMaxClearance) const;
+                          double cutoff = geom::kMaxClearance) const {
+    return static_set_.min_distance(footprint, cutoff);
+  }
 
   /// True if `footprint` hits any obstacle or leaves the lot bounds.
   bool in_collision(const geom::Obb& footprint) const;
@@ -155,7 +141,6 @@ class World {
   geom::Obb dynamic_footprint(std::size_t slot) const;
 
   Scenario scenario_;
-  WorldConfig config_;
   double time_ = 0.0;
   WorldDriver* driver_ = nullptr;           ///< not owned; optional
   /// Broad-phase cache: static obstacle footprints never move, so their
@@ -167,7 +152,6 @@ class World {
   std::vector<geom::Aabb> dynamic_aabbs_;   ///< their AABBs (prefilter)
   std::vector<DrivenPose> driven_;          ///< per-slot driver overrides
   std::vector<int> slot_of_;                ///< obstacle index -> dynamic slot (-1 static)
-  std::optional<DistanceField> field_;      ///< grid backend only
 };
 
 }  // namespace icoil::world

@@ -377,9 +377,9 @@ TEST(PlannerHeuristicTest, DeterministicAcrossRepeatedRuns) {
     const HybridAStar astar(config, params);
     PlanStats a_stats, b_stats;
     const auto a = astar.plan(p.start, p.goal, p.obstacles, p.bounds, nullptr,
-                              nullptr, &a_stats);
+                              &a_stats);
     const auto b = astar.plan(p.start, p.goal, p.obstacles, p.bounds, nullptr,
-                              nullptr, &b_stats);
+                              &b_stats);
     ASSERT_EQ(a.has_value(), b.has_value()) << to_string(mode);
     EXPECT_EQ(a_stats.expansions, b_stats.expansions) << to_string(mode);
     EXPECT_EQ(a_stats.nodes, b_stats.nodes) << to_string(mode);
@@ -455,7 +455,7 @@ TEST(PlannerHeuristicTest, HolonomicBoundNeverExceedsReturnedPathLength) {
     const PlanProblem p = static_problem(crowded_scenario(seed));
     PlanStats stats;
     const auto path = astar.plan(p.start, p.goal, p.obstacles, p.bounds,
-                                 nullptr, nullptr, &stats);
+                                 nullptr, &stats);
     ASSERT_TRUE(path.has_value()) << "seed " << seed;
 
     const double axle_disc =

@@ -292,5 +292,45 @@ TEST(WorldTest, ClearanceDecreasesNearObstacle) {
   EXPECT_LT(world.clearance(near_box), world.clearance(far_box));
 }
 
+TEST(WorldTest, DynamicBoxCacheTracksSteps) {
+  ScenarioOptions opt;
+  opt.difficulty = Difficulty::kNormal;  // patrol + pedestrian
+  const Scenario sc = make_scenario(opt, 5);
+  World world(sc);
+  ASSERT_EQ(world.dynamic_boxes().size(),
+            world.dynamic_obstacle_indices().size());
+  for (int step = 0; step < 30; ++step) world.step(0.05);
+  const auto& indices = world.dynamic_obstacle_indices();
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const geom::Obb expected =
+        sc.obstacles[indices[k]].footprint_at(world.time());
+    EXPECT_NEAR(world.dynamic_boxes()[k].center.x, expected.center.x, 1e-12);
+    EXPECT_NEAR(world.dynamic_boxes()[k].center.y, expected.center.y, 1e-12);
+    EXPECT_NEAR(world.dynamic_boxes()[k].heading, expected.heading, 1e-12);
+  }
+  world.reset();
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const geom::Obb expected = sc.obstacles[indices[k]].footprint_at(0.0);
+    EXPECT_NEAR(world.dynamic_boxes()[k].center.x, expected.center.x, 1e-12);
+  }
+}
+
+TEST(WorldTest, CrowdedLotDensityScalesClutter) {
+  for (const double density : {1.0, 4.0}) {
+    ScenarioOptions opt;
+    opt.generator = "crowded_lot";
+    opt.difficulty = Difficulty::kNormal;
+    opt.params.set("density", density);
+    const Scenario sc = make_scenario(opt, 3);
+    int statics = 0;
+    for (const Obstacle& o : sc.obstacles)
+      if (!o.dynamic()) ++statics;
+    // 4 fixed roster entries + 6 * density clutter boxes (placement may
+    // drop a few at high density when the lot saturates).
+    EXPECT_GE(statics, 2 + static_cast<int>(3 * density));
+    EXPECT_LE(statics, 2 + static_cast<int>(6 * density));
+  }
+}
+
 }  // namespace
 }  // namespace icoil::world
