@@ -46,6 +46,7 @@
 #include "core/controller_registry.hpp"
 #include "core/task_pool.hpp"
 #include "mathkit/fnv.hpp"
+#include "mathkit/stats.hpp"
 #include "mathkit/table.hpp"
 #include "mission/mission.hpp"
 #include "sim/report.hpp"
@@ -77,15 +78,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
     start = comma + 1;
   }
   return out;
-}
-
-/// Nearest-rank percentile of an unsorted sample (q in [0,1]); 0 when empty.
-double percentile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return v[std::min(idx, v.size() - 1)];
 }
 
 /// Runs every (template, mission index) pair on a pool of `threads` workers.
@@ -293,8 +285,8 @@ int main(int argc, char** argv) {
     const double legs_per_mission = legs / n;
     const double replans_per_mission = replans / n;
     const double wall_mean = wall_total / n;
-    const double park_p50 = percentile(park_times, 0.50);
-    const double exit_p50 = percentile(exit_times, 0.50);
+    const double park_p50 = math::percentile(park_times, 50.0);
+    const double exit_p50 = math::percentile(exit_times, 50.0);
 
     // Quick gate: the contested template must actually contest — multi-leg
     // missions with at least one forced replan.
@@ -316,8 +308,8 @@ int main(int argc, char** argv) {
                   {n, double(succeeded), succeeded / n, double(legs),
                    legs_per_mission, double(replans), replans_per_mission,
                    double(collisions), double(timeouts),
-                   park_p50, percentile(park_times, 0.95), exit_p50,
-                   percentile(exit_times, 0.95), wall_mean});
+                   park_p50, math::percentile(park_times, 95.0), exit_p50,
+                   math::percentile(exit_times, 95.0), wall_mean});
     table.add_row({templates[t], method, std::to_string(missions),
                    math::format_double(succeeded / n, 2),
                    math::format_double(legs_per_mission, 1),

@@ -1,25 +1,22 @@
-// Planner-heuristic ablation: hybrid-A* under every heuristic mode
-// (euclid-rs | lut | dijkstra | max) across the scenario generator
-// families, with crowded_lot additionally swept over clutter density.
-// Each cell also runs `legacy` — the frozen pre-refactor planner
-// (bench/legacy_planner.hpp) — as the speedup reference, so the euclid-rs
-// row isolates the search-core restructure and the cached rows add the
-// heuristic effect on top. Every planner, legacy included, collision-checks
-// with the exact OBB narrow phase, the one path co::CoPlanner takes in an
-// episode. Three measurements per (family, density, mode):
+// Planner bench: the production hybrid-A* (co::HybridAStar) against the
+// frozen pre-refactor planner (bench/legacy_planner.hpp, row `legacy`)
+// across the scenario generator families, with crowded_lot additionally
+// swept over clutter density. Both planners collision-check with the exact
+// OBB narrow phase, the one path co::CoPlanner takes in an episode. Three
+// measurements per (family, density, planner):
 //
 //   1. Plan wall time over a fixed seed set (mean/max ms) plus the search
 //      counters (expansions and RS-shot attempts per plan).
-//   2. Success parity: every scenario the legacy planner or the euclid-rs
-//      baseline solves must still be solved by every other mode — the
-//      cached heuristics change node order, not completeness, so a drop is
-//      a bug (the CI gate).
+//   2. Success parity: every scenario the legacy planner solves must still
+//      be solved by the production planner — its arena, cached heuristic
+//      and throttled shots change node order, not completeness, so a drop
+//      is a bug (the CI gate).
 //   3. Deadline-hit rate: an optional second pass re-plans each scenario
 //      under a core::FrameContext budget and counts tripped frames.
 //
 // Results land in the `planner` table of a sim::RunReport, one row per
-// (generator, density, heuristic); `speedup` is each mode's mean plan time
-// relative to the legacy planner on the cell.
+// (generator, density, planner); `speedup` is the legacy mean plan time
+// over the production planner's on the cell.
 //
 // Usage:
 //   bench_planner [options]
@@ -31,8 +28,6 @@
 //     --families LIST       generator families to run (default: all five)
 //     --densities LIST      crowded_lot clutter multipliers (default 1,4)
 //     --frame-deadline-ms X budgeted-pass deadline (default 50; 0 = skip)
-//     --lut-res X           override HybridAStarConfig::lut_xy_resolution
-//     --lut-bins N          override HybridAStarConfig::lut_heading_bins
 //     --report PATH         write the RunReport JSON artifact
 //     --quick               smoke mode: 3 plans, no budgeted pass
 //
@@ -47,13 +42,13 @@
 
 #include "bench_util.hpp"
 #include "legacy_planner.hpp"
-#include "co/heuristic.hpp"
 #include "co/hybrid_astar.hpp"
 #include "mathkit/rng.hpp"
 #include "mathkit/table.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/report.hpp"
 #include "sim/suite.hpp"
+#include "world/generators/registry.hpp"
 #include "world/scenario.hpp"
 
 namespace {
@@ -64,8 +59,8 @@ using icoil::bench::parse_int_arg;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--plans N] [--reps K] [--families LIST] "
-               "[--densities LIST] [--frame-deadline-ms X] [--lut-res X] "
-               "[--lut-bins N] [--report PATH] [--per-plan] [--quick]\n",
+               "[--densities LIST] [--frame-deadline-ms X] [--report PATH] "
+               "[--per-plan] [--quick]\n",
                argv0);
   return 2;
 }
@@ -94,9 +89,9 @@ Problem make_problem(const icoil::world::Scenario& scenario) {
   return p;
 }
 
-/// One heuristic mode's measurements on one (family, density) cell.
-struct ModeRow {
-  std::string heuristic;         ///< co::to_string(HeuristicMode) or legacy
+/// One planner's measurements on one (family, density) cell.
+struct PlannerRow {
+  std::string planner;           ///< "hybrid-astar" or "legacy"
   int plans = 0;                 ///< scenarios attempted
   int solved = 0;
   double plan_ms_mean = 0.0;
@@ -104,38 +99,33 @@ struct ModeRow {
   double expansions_mean = 0.0;  ///< nodes popped per plan
   double rs_shots_mean = 0.0;    ///< analytic expansions tried per plan
   double path_cost_mean = 0.0;   ///< solution cost per solved plan
-  double speedup = 0.0;          ///< legacy plan_ms_mean / this mode's
+  double speedup = 0.0;          ///< legacy plan_ms_mean / this planner's
   double deadline_ms = 0.0;      ///< budgeted pass frame deadline (0 = off)
   int deadline_hits = 0;         ///< budgeted plans that tripped the frame
 };
 
-struct ModeResult {
-  ModeRow row;
+struct PlannerResult {
+  PlannerRow row;
   std::vector<bool> solved;  ///< per problem index
 };
 
-double g_lut_res = 0.0;   ///< --lut-res override (0 = planner default)
-int g_lut_bins = 0;       ///< --lut-bins override (0 = planner default)
 int g_reps = 3;           ///< --reps: timing repetitions per plan
 bool g_per_plan = false;  ///< --per-plan: dump per-scenario lines to stderr
 
-ModeResult run_mode(const std::vector<Problem>& problems,
-                    icoil::co::HeuristicMode mode, double deadline_ms) {
+/// The production planner at its defaults, as co::CoPlanner builds it.
+PlannerResult run_hybrid_astar(const std::vector<Problem>& problems,
+                               double deadline_ms) {
   using namespace icoil;
-  ModeResult out;
-  co::HybridAStarConfig config;
-  config.heuristic = mode;
-  if (g_lut_res > 0.0) config.lut_xy_resolution = g_lut_res;
-  if (g_lut_bins > 0) config.lut_heading_bins = g_lut_bins;
-  const co::HybridAStar astar(config, vehicle::VehicleParams{});
+  PlannerResult out;
+  const co::HybridAStar astar(co::HybridAStarConfig{},
+                              vehicle::VehicleParams{});
 
-  // Warm pass: fills the shared-LUT entries the first plan reads (and
-  // touches the code paths) outside the timed loop, as a long-lived process
-  // would.
-  if (!problems.empty()) {
-    const Problem& w = problems.front();
+  // Warm pass: plans every problem once outside the timed loop, filling the
+  // shared RS-table entries those plans read, as a long-lived process would
+  // have. The one-time fill is a cold-start cost (cold_start_test gates
+  // it), not a per-plan one.
+  for (const Problem& w : problems)
     (void)astar.plan(w.start, w.goal, w.obstacles, w.bounds);
-  }
 
   double total_ms = 0.0, max_ms = 0.0;
   double total_exp = 0.0, total_shots = 0.0, total_cost = 0.0;
@@ -155,7 +145,7 @@ ModeResult run_mode(const std::vector<Problem>& problems,
     }
     if (g_per_plan)
       std::fprintf(stderr, "[plan] %-9s #%zu %s %.2f ms exp %d shots %d\n",
-                   co::to_string(mode), out.solved.size(),
+                   "hybrid-astar", out.solved.size(),
                    solved ? "ok  " : "FAIL", ms, stats.expansions,
                    stats.rs_shot_attempts);
     total_ms += ms;
@@ -183,7 +173,7 @@ ModeResult run_mode(const std::vector<Problem>& problems,
   }
 
   const int n = out.row.plans;
-  out.row.heuristic = co::to_string(mode);
+  out.row.planner = "hybrid-astar";
   out.row.plan_ms_mean = n > 0 ? total_ms / n : 0.0;
   out.row.plan_ms_max = max_ms;
   out.row.expansions_mean = n > 0 ? total_exp / n : 0.0;
@@ -195,10 +185,10 @@ ModeResult run_mode(const std::vector<Problem>& problems,
 /// The pre-refactor planner on the same problems: the speedup denominator.
 /// No budgeted pass — the legacy loop predates stats/deadline plumbing and
 /// is kept byte-for-byte faithful instead.
-ModeResult run_legacy(const std::vector<Problem>& problems) {
+PlannerResult run_legacy(const std::vector<Problem>& problems) {
   using namespace icoil;
-  ModeResult out;
-  const co::HybridAStarConfig config;  // planner defaults, heuristic unused
+  PlannerResult out;
+  const co::HybridAStarConfig config;  // planner defaults
   const vehicle::VehicleParams params;
 
   double total_ms = 0.0, max_ms = 0.0;
@@ -229,7 +219,7 @@ ModeResult run_legacy(const std::vector<Problem>& problems) {
   }
 
   const int n = out.row.plans;
-  out.row.heuristic = "legacy";
+  out.row.planner = "legacy";
   out.row.plan_ms_mean = n > 0 ? total_ms / n : 0.0;
   out.row.plan_ms_max = max_ms;
   out.row.expansions_mean = n > 0 ? total_exp / n : 0.0;
@@ -299,14 +289,6 @@ int main(int argc, char** argv) {
       const char* v = next_value();
       if (v == nullptr) return usage(argv[0]);
       report_path = v;
-    } else if (arg == "--lut-res") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &g_lut_res) || g_lut_res <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--lut-bins") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &g_lut_bins) || g_lut_bins <= 0)
-        return usage(argv[0]);
     } else if (arg == "--per-plan") {
       g_per_plan = true;
     } else if (arg == "--quick") {
@@ -345,17 +327,25 @@ int main(int argc, char** argv) {
     }
     if (families.empty()) return usage(argv[0]);
   }
-  const std::vector<co::HeuristicMode> modes = {
-      co::HeuristicMode::kEuclidRs, co::HeuristicMode::kLut,
-      co::HeuristicMode::kDijkstra, co::HeuristicMode::kMax};
+  // Reject unknown families before any planning: make_scenario would throw
+  // on the first one mid-run.
+  for (const std::string& family : families) {
+    if (world::GeneratorRegistry::instance().find(family) == nullptr) {
+      std::fprintf(stderr,
+                   "bench_planner: unknown family \"%s\" — bench_suite "
+                   "--list-generators prints the registered names\n",
+                   family.c_str());
+      return usage(argv[0]);
+    }
+  }
 
   sim::MetricsTable stats(
-      "planner", {"generator", "density", "heuristic"},
+      "planner", {"generator", "density", "planner"},
       {"plans", "solved", "plan_ms_mean", "plan_ms_max", "expansions_mean",
        "rs_shots_mean", "path_cost_mean", "speedup", "deadline_ms",
        "deadline_hits"});
   bool parity_ok = true;
-  math::TextTable table({"family", "density", "heuristic", "solved",
+  math::TextTable table({"family", "density", "planner", "solved",
                          "plan [ms]", "max [ms]", "expansions", "rs shots",
                          "cost", "speedup", "ddl hits"});
 
@@ -375,15 +365,15 @@ int main(int argc, char** argv) {
         problems.push_back(make_problem(
             world::make_scenario(cell.options(), kScenarioSeed + s)));
 
-      auto emit = [&](const ModeResult& r, bool is_reference) {
-        const ModeRow& m = r.row;
-        stats.add_row({family, bench::number_key(density), m.heuristic},
+      auto emit = [&](const PlannerResult& r, bool is_reference) {
+        const PlannerRow& m = r.row;
+        stats.add_row({family, bench::number_key(density), m.planner},
                       {double(m.plans), double(m.solved), m.plan_ms_mean,
                        m.plan_ms_max, m.expansions_mean, m.rs_shots_mean,
                        m.path_cost_mean, m.speedup, m.deadline_ms,
                        double(m.deadline_hits)});
         table.add_row(
-            {family, math::format_double(density, 1), r.row.heuristic,
+            {family, math::format_double(density, 1), r.row.planner,
              std::to_string(r.row.solved) + "/" + std::to_string(r.row.plans),
              math::format_double(r.row.plan_ms_mean, 2),
              math::format_double(r.row.plan_ms_max, 2),
@@ -395,46 +385,32 @@ int main(int argc, char** argv) {
              r.row.deadline_ms > 0.0 ? std::to_string(r.row.deadline_hits)
                                      : "-"});
       };
-      auto check_parity = [&](const std::vector<bool>& ref_solved,
-                              const char* ref_name, const ModeResult& r) {
-        for (std::size_t s = 0; s < ref_solved.size(); ++s) {
-          if (ref_solved[s] && !r.solved[s]) {
-            parity_ok = false;
-            std::fprintf(stderr,
-                         "[planner] PARITY: %s density %.1f seed %llu "
-                         "solved by %s but not by %s\n",
-                         family.c_str(), density,
-                         static_cast<unsigned long long>(kScenarioSeed + s),
-                         ref_name, r.row.heuristic.c_str());
-          }
-        }
-      };
-
-      ModeResult legacy = run_legacy(problems);
-      const double legacy_ms = legacy.row.plan_ms_mean;
+      PlannerResult legacy = run_legacy(problems);
       emit(legacy, /*is_reference=*/true);
 
-      std::vector<bool> baseline_solved;
-      for (const co::HeuristicMode mode : modes) {
-        ModeResult r = run_mode(problems, mode, deadline_ms);
-        r.row.speedup =
-            r.row.plan_ms_mean > 0.0 ? legacy_ms / r.row.plan_ms_mean : 0.0;
-        // Success parity: every scenario the pre-refactor planner solves
-        // must stay solved; cached modes must also keep everything the
-        // euclid-rs baseline solves.
-        check_parity(legacy.solved, "legacy", r);
-        if (mode == co::HeuristicMode::kEuclidRs)
-          baseline_solved = r.solved;
-        else
-          check_parity(baseline_solved, "euclid-rs", r);
-        emit(r, /*is_reference=*/false);
+      PlannerResult r = run_hybrid_astar(problems, deadline_ms);
+      r.row.speedup = r.row.plan_ms_mean > 0.0
+                          ? legacy.row.plan_ms_mean / r.row.plan_ms_mean
+                          : 0.0;
+      // Success parity: every scenario the pre-refactor planner solves must
+      // stay solved.
+      for (std::size_t s = 0; s < legacy.solved.size(); ++s) {
+        if (legacy.solved[s] && !r.solved[s]) {
+          parity_ok = false;
+          std::fprintf(stderr,
+                       "[planner] PARITY: %s density %.1f seed %llu solved "
+                       "by legacy but not by hybrid-astar\n",
+                       family.c_str(), density,
+                       static_cast<unsigned long long>(kScenarioSeed + s));
+        }
       }
-      std::fprintf(stderr, "[planner] %s density %.1fx done (%d plans/mode)\n",
+      emit(r, /*is_reference=*/false);
+      std::fprintf(stderr, "[planner] %s density %.1fx done (%d plans)\n",
                    family.c_str(), density, plans);
     }
   }
 
-  std::printf("\nPlanner heuristic ablation — %d plans per cell, "
+  std::printf("\nPlanner vs legacy — %d plans per cell, "
               "budgeted pass %s\n\n",
               plans,
               deadline_ms > 0.0
@@ -465,8 +441,8 @@ int main(int argc, char** argv) {
 
   if (!parity_ok) {
     std::fprintf(stderr,
-                 "bench_planner: FAIL — a cached heuristic lost a scenario "
-                 "the euclid-rs baseline solves\n");
+                 "bench_planner: FAIL — hybrid-astar lost a scenario the "
+                 "legacy planner solves\n");
     return 1;
   }
   return 0;

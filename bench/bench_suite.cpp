@@ -17,8 +17,6 @@
 //                        (default: suite-specific; see --list-methods)
 //     --list-methods     print the registered method keys and exit 0
 //     --list-generators  print the registered scenario generators and exit 0
-//     --planner-heuristic NAME  hybrid-A* heuristic for CO-backed methods:
-//                        euclid-rs | lut | dijkstra | max (default: max)
 //     --report PATH      write the RunReport JSON artifact
 //     --baseline PATH    load a reference RunReport and exit 1 on regression
 //     --success-tol X    allowed absolute success-ratio drop (default 0.02)
@@ -51,7 +49,6 @@ int usage(const char* argv0) {
                "[--list-methods] [--list-generators] [--report PATH] "
                "[--baseline PATH] [--success-tol X] [--park-tol X] "
                "[--budget S] [--frame-deadline-ms X] "
-               "[--planner-heuristic euclid-rs|lut|dijkstra|max] "
                "[--per-episode] [--threads N] [--csv PATH] [--quick]\n",
                argv0);
   return 2;
@@ -79,10 +76,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--list-generators") {
       bench::print_registered_generators(stdout);
       return 0;
-    } else if (arg == "--planner-heuristic") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.planner_heuristic = v;
     } else if (arg == "--episodes") {
       const char* v = next_value();
       if (v == nullptr || !parse_int_arg(v, &opts.episodes) || opts.episodes <= 0)

@@ -150,10 +150,9 @@ void BM_DijkstraCostMapBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraCostMapBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
 
-// The full search under each heuristic mode (0 = euclid-rs, 1 = lut,
-// 2 = dijkstra, 3 = max) on the dense crowded_lot cell — the ablation the
-// planner bench runs, reduced to one trackable number per mode.
-void BM_HybridAStarHeuristic(benchmark::State& state) {
+// The full search on the dense crowded_lot cell, with its heuristic tables
+// warm — the production row of the planner bench reduced to one number.
+void BM_HybridAStar(benchmark::State& state) {
   sim::SuiteCell cell;
   cell.generator = "crowded_lot";
   cell.difficulty = world::Difficulty::kNormal;
@@ -162,10 +161,8 @@ void BM_HybridAStarHeuristic(benchmark::State& state) {
   std::vector<geom::Obb> obstacles;
   for (const auto& o : sc.obstacles)
     if (!o.dynamic()) obstacles.push_back(o.shape);
-  co::HybridAStarConfig config;
-  config.heuristic = static_cast<co::HeuristicMode>(state.range(0));
-  state.SetLabel(co::to_string(config.heuristic));
-  const co::HybridAStar astar(config, vehicle::VehicleParams{});
+  const co::HybridAStar astar(co::HybridAStarConfig{},
+                              vehicle::VehicleParams{});
   // Fill the LUT entries this plan reads outside the timed loop.
   (void)astar.plan(sc.start_pose, sc.map.goal_pose, obstacles, sc.map.bounds);
   for (auto _ : state) {
@@ -173,12 +170,7 @@ void BM_HybridAStarHeuristic(benchmark::State& state) {
                                         obstacles, sc.map.bounds));
   }
 }
-BENCHMARK(BM_HybridAStarHeuristic)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HybridAStar)->Unit(benchmark::kMillisecond);
 
 // Static clearance (the exact OBB narrow phase behind its broad phase) at
 // growing obstacle count.

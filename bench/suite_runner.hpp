@@ -34,9 +34,6 @@ struct RunSuiteOptions {
   int threads = 0;             ///< EvalConfig::num_threads (0 = hardware)
   double wall_budget = 0.0;    ///< per-cell wall-clock budget [s]; <=0 = off
   double frame_deadline_ms = 0.0;  ///< per-frame controller budget; <=0 = off
-  /// Hybrid-A* heuristic mode for CO-backed methods
-  /// ("euclid-rs" | "lut" | "dijkstra" | "max"); "" = the planner default.
-  std::string planner_heuristic;
   /// Pool-level abort token (typically tripped by a SIGINT handler): when it
   /// cancels mid-run, evaluation drains promptly and the partial report is
   /// still written, flagged meta.aborted.
@@ -182,23 +179,6 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
     std::string name;
     core::ControllerFactory factory;
   };
-  // Planner-heuristic override: threaded to every CO-backed method as a
-  // BASE config override (variant specs like co-fast still apply their own
-  // tweaks on top), and recorded in SimConfig for the fingerprint.
-  co::HeuristicMode heuristic = co::HeuristicMode::kMax;
-  if (!opts.planner_heuristic.empty() &&
-      !co::parse_heuristic_mode(opts.planner_heuristic, &heuristic)) {
-    std::fprintf(stderr,
-                 "bench_suite: unknown planner heuristic \"%s\" "
-                 "(expected euclid-rs|lut|dijkstra|max)\n",
-                 opts.planner_heuristic.c_str());
-    return 2;
-  }
-  co::CoPlannerConfig co_override;
-  core::IcoilConfig icoil_override;
-  co_override.astar.heuristic = heuristic;
-  icoil_override.co.astar.heuristic = heuristic;
-
   const auto& registry = core::ControllerRegistry::instance();
   std::unique_ptr<il::IlPolicy> policy;
   std::vector<Method> methods;
@@ -212,10 +192,6 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
       return 2;
     }
     core::ControllerBuildArgs args;
-    if (!opts.planner_heuristic.empty()) {
-      args.co = &co_override;
-      args.icoil = &icoil_override;
-    }
     if (spec->needs_policy) {
       if (!policy) policy = shared_policy();
       args.policy = policy.get();
@@ -229,7 +205,6 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
   eval_config.abort = opts.abort;
   if (opts.frame_deadline_ms > 0.0)
     eval_config.sim.frame_deadline_ms = opts.frame_deadline_ms;
-  eval_config.sim.planner_heuristic = heuristic;
   sim::Evaluator evaluator(eval_config);
 
   sim::RunReport report;

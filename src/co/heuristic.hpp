@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "geom/pose2.hpp"
@@ -10,24 +9,6 @@
 #include "world/distance_field.hpp"
 
 namespace icoil::co {
-
-/// Which lower bound guides the hybrid-A* search.
-///  kEuclidRs — max(euclidean, exact Reeds-Shepp solve) per evaluation: the
-///              historical heuristic; a full RS word search on every push.
-///  kLut      — max(euclidean, RsHeuristicLut lookup): the RS term served
-///              from a goal-relative table, O(1) per eval once the entry
-///              is filled.
-///  kDijkstra — max(euclidean, DijkstraCostMap cost-to-go): obstacle-aware
-///              holonomic bound; sees dead ends the RS term cannot.
-///  kMax      — max of all three terms (LUT + Dijkstra + euclidean): still
-///              admissible (max of lower bounds), dominates every other
-///              mode in informativeness. The default.
-enum class HeuristicMode { kEuclidRs, kLut, kDijkstra, kMax };
-
-const char* to_string(HeuristicMode mode);
-/// Parses "euclid-rs" / "lut" / "dijkstra" / "max"; false (out untouched)
-/// for anything else.
-bool parse_heuristic_mode(const std::string& name, HeuristicMode* out);
 
 /// Cache key of a Reeds-Shepp heuristic table: the RS turning radius plus
 /// the lattice geometry. An entry's value depends on nothing else, so

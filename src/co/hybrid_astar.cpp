@@ -4,12 +4,28 @@
 #include <cmath>
 #include <queue>
 
+#include "co/heuristic.hpp"
 #include "co/reeds_shepp.hpp"
 #include "geom/angles.hpp"
 
 namespace icoil::co {
 
 namespace {
+
+/// Lattice of one shared Reeds-Shepp table (the RsLutSpec minus the radius).
+struct LutLattice {
+  double xy_resolution;  ///< [m]
+  double extent;         ///< [m]
+  int heading_bins;
+};
+/// Entries fill on first read, so a finer or wider lattice costs memory, not
+/// set-up. Beyond 24 m the coarse table defers to the euclidean floor — far
+/// from the goal RS length converges to it anyway, and 24 m covers every
+/// lot. RS length varies fastest (heading alignment, cusps) within a few
+/// turning radii of the goal, where the search density peaks, so the fine
+/// table gives that 12 m near field 2x resolution in all three axes.
+constexpr LutLattice kCoarseLut{0.7, 24.0, 36};
+constexpr LutLattice kFineLut{0.35, 12.0, 72};
 
 /// Substeps per motion primitive — a compile-time constant so every node
 /// carries its incoming arc inline (no per-node heap allocation).
@@ -165,46 +181,33 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
   // Broad-phase cache: every expansion probes the same obstacle set.
   const geom::ObbSet obstacle_set(obstacles);
 
-  // Heuristic terms per the configured mode. The Dijkstra sweep runs over a
-  // raster built here from the raw obstacles.
-  const HeuristicMode mode = config_.heuristic;
-  const bool use_exact_rs = mode == HeuristicMode::kEuclidRs;
-  const bool use_lut =
-      mode == HeuristicMode::kLut || mode == HeuristicMode::kMax;
-  const bool use_dijkstra =
-      mode == HeuristicMode::kDijkstra || mode == HeuristicMode::kMax;
-
-  std::shared_ptr<const RsHeuristicLut> lut;
-  std::shared_ptr<const RsHeuristicLut> lut_fine;
-  if (use_lut) {
-    lut = RsHeuristicLut::shared({radius, config_.lut_xy_resolution,
-                                  config_.lut_extent,
-                                  config_.lut_heading_bins});
-    if (config_.lut_fine_extent > 0.0)
-      lut_fine = RsHeuristicLut::shared({radius, config_.lut_fine_xy_resolution,
-                                         config_.lut_fine_extent,
-                                         config_.lut_fine_heading_bins});
-  }
-  std::optional<DijkstraCostMap> costmap;
-  if (use_dijkstra) {
-    // Disc the footprint is guaranteed to cover around the rear axle, plus
-    // the same margin pose_free inflates by: cells the sweep blocks are
-    // provably untraversable, so the cost-to-go stays a lower bound.
-    const double axle_disc =
-        std::min(params_.width / 2.0,
-                 params_.length / 2.0 - std::abs(params_.center_offset)) +
-        config_.obstacle_margin;
-    const world::DistanceField costmap_field(bounds, obstacles,
-                                             config_.costmap_resolution);
-    costmap.emplace(costmap_field, goal.position, axle_disc);
-  }
+  // Dolgov et al.'s max of two lower bounds, over the euclidean floor: the
+  // non-holonomic-without-obstacles Reeds-Shepp length (a coarse table max'd
+  // with a fine near-field one) and the holonomic-with-obstacles Dijkstra
+  // cost-to-go, swept over a raster built here from the raw obstacles.
+  const auto shared_lut = [radius](const LutLattice& l) {
+    return RsHeuristicLut::shared(
+        {radius, l.xy_resolution, l.extent, l.heading_bins});
+  };
+  const auto lut = shared_lut(kCoarseLut);
+  const auto lut_fine = shared_lut(kFineLut);
+  // Disc the footprint is guaranteed to cover around the rear axle, plus the
+  // same margin pose_free inflates by: cells the sweep blocks are provably
+  // untraversable, so the cost-to-go stays a lower bound.
+  const double axle_disc =
+      std::min(params_.width / 2.0,
+               params_.length / 2.0 - std::abs(params_.center_offset)) +
+      config_.obstacle_margin;
+  const DijkstraCostMap costmap(
+      world::DistanceField(bounds, obstacles, config_.costmap_resolution),
+      goal.position, axle_disc);
 
   // The RS-table term only applies OUTSIDE the analytic-expansion disc.
   // Inside it the RS shot fires on every pop, so near-goal ordering
   // precision buys nothing — while the table's quantization error (a few
   // decimetres) reshuffles the near-goal plateau and multiplies failing
   // shot attempts on hard instances. Outside the disc the error is small
-  // relative to the distances involved and the table guides as well as the
+  // relative to the distances involved and the table guides as well as an
   // exact solve at a fraction of the cost.
   const double lut_gate_sq = config_.rs_shot_radius * config_.rs_shot_radius;
   auto heuristic = [&](const geom::Pose2& p) {
@@ -213,20 +216,14 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
     const double dy = p.position.y - goal.position.y;
     const double dist_sq = dx * dx + dy * dy;
     double h = std::sqrt(dist_sq);
-    if (use_exact_rs) {
-      const auto path = rs.shortest_path(p, goal);
-      if (path) h = std::max(h, rs.length(*path));
-    }
-    if (use_lut && dist_sq > lut_gate_sq) {
+    if (dist_sq > lut_gate_sq) {
       const geom::Vec2 rel = goal.to_local(p.position);
       const double dth = p.heading - goal.heading;
       h = std::max(h, lut->value_rel(rel.x, rel.y, dth));
-      if (lut_fine) h = std::max(h, lut_fine->value_rel(rel.x, rel.y, dth));
+      h = std::max(h, lut_fine->value_rel(rel.x, rel.y, dth));
     }
-    if (use_dijkstra) {
-      const double d = costmap->cost_to_go(p.position);
-      if (d > h) h = d;
-    }
+    const double d = costmap.cost_to_go(p.position);
+    if (d > h) h = d;
     return h;
   };
 

@@ -4,7 +4,6 @@
 #include <optional>
 #include <vector>
 
-#include "co/heuristic.hpp"
 #include "co/refpath.hpp"
 #include "core/frame_context.hpp"
 #include "geom/aabb.hpp"
@@ -50,28 +49,6 @@ struct HybridAStarConfig {
   double steer_fraction = 0.8;
   double rs_radius_factor = 1.35;
 
-  /// Which lower bound guides the search (see co/heuristic.hpp). kMax — the
-  /// shared RS table max'd with the obstacle-aware Dijkstra sweep — is both
-  /// the cheapest per evaluation (a table read once the entry is filled;
-  /// the first read of an entry solves its 15-point stencil) and the most
-  /// informed; kEuclidRs keeps the historical exact-RS-per-push behaviour
-  /// for the ablation.
-  HeuristicMode heuristic = HeuristicMode::kMax;
-  /// Lattice of the shared Reeds-Shepp table (see RsLutSpec). Entries fill
-  /// on first read, so a finer or wider lattice costs memory, not set-up.
-  double lut_xy_resolution = 0.7;
-  /// Beyond the extent the table defers to the euclidean floor — far from
-  /// the goal RS length converges to it anyway. 24 m covers every lot.
-  double lut_extent = 24.0;
-  int lut_heading_bins = 36;
-  /// Second, finer LUT level over the near field, max'd with the coarse
-  /// table. RS length varies fastest (heading alignment, cusps) within a
-  /// few turning radii of the goal — exactly where the search density
-  /// peaks — so that region gets 2x resolution in all three axes while the
-  /// smooth far field stays cheap. 0 extent disables the level.
-  double lut_fine_extent = 12.0;
-  double lut_fine_xy_resolution = 0.35;
-  int lut_fine_heading_bins = 72;
   /// Cell size of the per-plan Dijkstra cost-to-go raster [m], built by
   /// plan() itself from the raw obstacles. 0.4 m keeps the sweep under
   /// ~0.5 ms on a lot-sized raster.
@@ -82,7 +59,7 @@ struct HybridAStarConfig {
   int rs_shot_period = 8;
 };
 
-/// Counters from one plan() call, for the planner bench and ablations.
+/// Counters from one plan() call, for the planner bench and CoPlanner.
 struct PlanStats {
   int expansions = 0;        ///< nodes popped from the open list
   int nodes = 0;             ///< nodes pushed (arena size)
@@ -90,7 +67,7 @@ struct PlanStats {
   int heuristic_evals = 0;
   bool solved_by_shot = false;
   /// g at the shot node plus the analytic tail's length: the cost A*
-  /// minimized. Lets benches compare solution quality across heuristics.
+  /// minimized. Lets benches compare solution quality across planners.
   double solution_cost = 0.0;
 };
 

@@ -32,8 +32,13 @@ void hash_co_config(math::Fnv1a& h, const co::CoPlannerConfig& co) {
   h.add_double(t.obstacle_active_range);
   h.add_int(t.collision_discs);
   h.add_int(t.qp.max_iterations);
+  h.add_double(t.qp.rho);
+  h.add_double(t.qp.sigma);
+  h.add_double(t.qp.alpha);
   h.add_double(t.qp.eps_abs);
   h.add_double(t.qp.eps_rel);
+  h.add_int(t.qp.check_interval);
+  h.add_int(t.qp.adaptive_rho ? 1 : 0);
   const co::HybridAStarConfig& a = co.astar;
   h.add_double(a.xy_resolution);
   h.add_int(a.heading_bins);
@@ -49,6 +54,8 @@ void hash_co_config(math::Fnv1a& h, const co::CoPlannerConfig& co) {
   h.add_int(a.max_expansions);
   h.add_double(a.steer_fraction);
   h.add_double(a.rs_radius_factor);
+  h.add_double(a.costmap_resolution);
+  h.add_int(a.rs_shot_period);
   h.add_double(co.cruise_speed);
   h.add_double(co.reverse_speed);
   h.add_double(co.approach_distance);

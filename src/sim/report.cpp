@@ -529,9 +529,6 @@ std::uint64_t config_fingerprint(const EvalConfig& config) {
   // A frame deadline changes which commands controllers emit, so two runs
   // with different deadlines are not outcome-comparable.
   h.add_double(config.sim.frame_deadline_ms);
-  // Heuristic modes steer the search through different node orders, so two
-  // runs under different modes may return different paths for one scenario.
-  h.add_int(static_cast<std::int64_t>(config.sim.planner_heuristic));
   return h.value();
 }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "co/heuristic.hpp"
 #include "core/cancel_token.hpp"
 #include "core/controller.hpp"
 #include "world/world.hpp"
@@ -54,13 +53,6 @@ struct SimConfig {
   /// core::FrameContext each step. <= 0 = unlimited. Budgets make results
   /// timing-dependent; leave off when bit-identical reproducibility matters.
   double frame_deadline_ms = 0.0;
-  /// Hybrid-A* heuristic mode of the run's CO-backed controllers. The sim
-  /// loop itself never reads this: drivers (suite_runner, bench_planner)
-  /// copy it into the controller configs they build, and it is recorded
-  /// here so the config fingerprint separates runs whose planners searched
-  /// differently. Different modes expand different node orders, so paths —
-  /// and occasionally outcomes — are only comparable within one mode.
-  co::HeuristicMode planner_heuristic = co::HeuristicMode::kMax;
 };
 
 /// Runs one controller through one scenario episode: sense -> act ->

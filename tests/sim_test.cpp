@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "core/co_controller.hpp"
 #include "sim/evaluator.hpp"
@@ -432,6 +434,37 @@ TEST(PolicyStoreTest, TrainsAndCaches) {
   for (std::size_t i = 0; i < ia.probs.size(); ++i)
     EXPECT_FLOAT_EQ(ia.probs[i], ib.probs[i]);
   std::filesystem::remove_all(dir);
+}
+
+TEST(PolicyStoreTest, DatasetFingerprintCoversPlannerAndQpFields) {
+  // Each of these shapes the expert's demonstrations, so changing one must
+  // change the cache key (or a stale dataset and policy would be reused).
+  const il::IlPolicyConfig policy;
+  const std::uint64_t base = dataset_fingerprint(ExpertConfig{}, policy);
+  const std::vector<std::pair<const char*, void (*)(co::CoPlannerConfig&)>>
+      perturbations = {
+          {"astar.costmap_resolution",
+           [](co::CoPlannerConfig& c) { c.astar.costmap_resolution *= 2.0; }},
+          {"astar.rs_shot_period",
+           [](co::CoPlannerConfig& c) { c.astar.rs_shot_period += 1; }},
+          {"trajopt.qp.rho",
+           [](co::CoPlannerConfig& c) { c.trajopt.qp.rho *= 2.0; }},
+          {"trajopt.qp.sigma",
+           [](co::CoPlannerConfig& c) { c.trajopt.qp.sigma *= 2.0; }},
+          {"trajopt.qp.alpha",
+           [](co::CoPlannerConfig& c) { c.trajopt.qp.alpha -= 0.1; }},
+          {"trajopt.qp.check_interval",
+           [](co::CoPlannerConfig& c) { c.trajopt.qp.check_interval += 1; }},
+          {"trajopt.qp.adaptive_rho",
+           [](co::CoPlannerConfig& c) {
+             c.trajopt.qp.adaptive_rho = !c.trajopt.qp.adaptive_rho;
+           }},
+      };
+  for (const auto& [field, perturb] : perturbations) {
+    ExpertConfig expert;
+    perturb(expert.co);
+    EXPECT_NE(dataset_fingerprint(expert, policy), base) << field;
+  }
 }
 
 }  // namespace
