@@ -43,7 +43,7 @@ co::TrajOptQp trajopt_qp(bool obstacle) {
     targets.push_back({{1.0 * config.dt * h, 0.3, 0.0}, 1.0});
   std::vector<co::PredictedObstacle> obstacles;
   if (obstacle) obstacles.push_back({{{2.5, 1.8}, 0.0, 2.2, 0.9}, {}});
-  return opt.build_qp(s, targets, obstacles, opt.initial_nominal(s, nullptr));
+  return opt.build_qp(s, targets, obstacles, nullptr, opt.initial_nominal(s, nullptr));
 }
 
 void label_qp(benchmark::State& state, const co::TrajOptQp& qp, int iterations) {
@@ -65,6 +65,24 @@ void BM_QpTrajoptSparse(benchmark::State& state) {
   label_qp(state, qp, iterations);
 }
 BENCHMARK(BM_QpTrajoptSparse)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The same QPs warm-started as TrajOpt::solve starts a frame's first round:
+// x at the linearization point, and the duals and rho a previous solve
+// ended with (here a cold solve of the same QP).
+void BM_QpTrajoptSparseWarm(benchmark::State& state) {
+  const co::TrajOptQp qp = trajopt_qp(state.range(0) != 0);
+  const math::QpSolver solver(co::TrajOptConfig{}.qp);
+  const math::QpResult previous = solver.solve(qp.problem);
+  const math::QpWarmStart warm{qp.nominal, previous.y, previous.rho};
+  int iterations = 0;
+  for (auto _ : state) {
+    const math::QpResult r = solver.solve(qp.problem, warm);
+    iterations = r.iterations;
+    benchmark::DoNotOptimize(r.x.data());
+  }
+  label_qp(state, qp, iterations);
+}
+BENCHMARK(BM_QpTrajoptSparseWarm)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // The same QPs through the dense reference solver the sparse one replaced
 // (tests/dense_qp_oracle.hpp): same iterates, dense P, A and LDLT.

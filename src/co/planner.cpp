@@ -66,7 +66,6 @@ void CoPlanner::reset_progress() {
   phase_ = 0;
   progress_ = 0;
   stall_frames_ = 0;
-  warm_.clear();
   last_result_ = {};
   rebuild_phases();
 }
@@ -172,7 +171,7 @@ void CoPlanner::maybe_advance_phase(const vehicle::State& state) {
     ++phase_;
     progress_ = 0;
     stall_frames_ = 0;
-    warm_.clear();  // the gear flips; the old control sequence misleads
+    last_result_ = {};  // the gear flips; the old plan and its duals mislead
   }
 }
 
@@ -258,13 +257,11 @@ vehicle::Command CoPlanner::act(const vehicle::State& state,
   for (const sense::Detection& d : detections)
     obstacles.push_back({d.box, d.dynamic ? d.velocity : geom::Vec2{}});
 
-  last_result_ = trajopt_.solve(state, targets, obstacles,
-                                warm_.empty() ? nullptr : &warm_, frame);
-  if (!last_result_.ok) {
-    warm_.clear();
-    return vehicle::Command::full_stop();
-  }
-  warm_ = last_result_.controls;
+  // A failed result has no controls or duals, so the next solve starts cold.
+  TrajOptResult result = trajopt_.solve(
+      state, targets, obstacles, bounds_ ? &*bounds_ : nullptr, &last_result_, frame);
+  last_result_ = std::move(result);
+  if (!last_result_.ok) return vehicle::Command::full_stop();
 
   vehicle::Command cmd = model_.to_command(state, last_result_.control);
   // Gear selection: at near-zero speed `to_command` cannot infer intent, so

@@ -132,8 +132,7 @@ class CoPlanner {
   std::size_t phase_ = 0;
   std::size_t progress_ = 0;   ///< nearest-index hint within the phase
   int stall_frames_ = 0;
-  std::vector<vehicle::PlannerControl> warm_;
-  TrajOptResult last_result_;
+  TrajOptResult last_result_;  ///< also the next solve's warm start
   PlanStats plan_stats_;
 };
 

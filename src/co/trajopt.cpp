@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "geom/angles.hpp"
 
@@ -115,6 +116,7 @@ std::vector<vehicle::PlannerControl> TrajOpt::initial_nominal(
 TrajOptQp TrajOpt::build_qp(const vehicle::State& current,
                             const std::vector<TargetPoint>& targets,
                             const std::vector<PredictedObstacle>& obstacles,
+                            const geom::Aabb* bounds,
                             const std::vector<vehicle::PlannerControl>& nominal_u) const {
   const int H = config_.horizon;
   const double dt = config_.dt;
@@ -138,11 +140,11 @@ TrajOptQp TrajOpt::build_qp(const vehicle::State& current,
         s.speed * std::tan(nominal_u[static_cast<std::size_t>(h)].steer) / L * dt;
   }
 
-  // Obstacle rows (eq. 5 linearized at the nominal). Each gets a slack
-  // variable, which keeps the QP feasible when the trust region around a
-  // colliding nominal conflicts with the separating half-spaces. The slacks
-  // lead the variable layout, so the rows are collected before anything is
-  // indexed.
+  // Obstacle and wall rows (eq. 5 linearized at the nominal). Each gets a
+  // slack variable, which keeps the QP feasible when the trust region
+  // around a colliding nominal conflicts with the separating half-spaces.
+  // The slacks lead the variable layout, so the rows are collected before
+  // anything is indexed.
   struct ObsRow {
     int h;
     double nx, ny, jt, rhs;
@@ -154,6 +156,22 @@ TrajOptQp TrajOpt::build_qp(const vehicle::State& current,
     const vehicle::State& nom = nominal[static_cast<std::size_t>(h)];
     const double cth = std::cos(nom.pose.heading);
     const double sth = std::sin(nom.pose.heading);
+    // Keeps the disc at `off` at least r_disc + safety_margin along the
+    // unit normal `n` from a boundary it is `sd` from at the nominal.
+    auto add_row = [&](geom::Vec2 n, double sd, double off) {
+      // d p_disc / d theta at the nominal.
+      const geom::Vec2 jth{-sth * off, cth * off};
+      const double g0 = sd - (r_disc + config_.safety_margin);
+      // n·dp >= -g0  ->  n·p + (n·jth) theta >= n·p̄ + (n·jth) θ̄ - g0
+      ObsRow row;
+      row.h = h;
+      row.nx = n.x;
+      row.ny = n.y;
+      row.jt = n.dot(jth);
+      row.rhs = n.x * nom.x() + n.y * nom.y() +
+                row.jt * nom_theta[static_cast<std::size_t>(h)] - g0;
+      obs_rows.push_back(row);
+    };
     for (const PredictedObstacle& o : obstacles) {
       if (geom::distance(o.box.center, current.pose.position) >=
           config_.obstacle_active_range)
@@ -171,19 +189,21 @@ TrajOptQp TrajOpt::build_qp(const vehicle::State& current,
           n = (pd - box.center).normalized();
           if (n.norm_sq() < 0.5) n = {1.0, 0.0};
         }
-        // d p_disc / d theta at the nominal.
-        const geom::Vec2 jth{-sth * off, cth * off};
-        const double g0 = sd - (r_disc + config_.safety_margin);
-        // n·dp >= -g0  ->  n·p + (n·jth) theta >= n·p̄ + (n·jth) θ̄ - g0
-        ObsRow row;
-        row.h = h;
-        row.nx = n.x;
-        row.ny = n.y;
-        row.jt = n.dot(jth);
-        row.rhs = n.x * nom.x() + n.y * nom.y() +
-                  row.jt * nom_theta[static_cast<std::size_t>(h)] - g0;
-        obs_rows.push_back(row);
+        add_row(n, sd, off);
       }
+    }
+    if (bounds == nullptr) continue;
+    // The lot's walls, with inward normals: World::in_collision fails a
+    // footprint that leaves the bounds.
+    for (double off : offsets) {
+      const geom::Vec2 pd{nom.x() + cth * off, nom.y() + sth * off};
+      const std::pair<geom::Vec2, double> walls[4] = {
+          {{1.0, 0.0}, pd.x - bounds->min.x},
+          {{-1.0, 0.0}, bounds->max.x - pd.x},
+          {{0.0, 1.0}, pd.y - bounds->min.y},
+          {{0.0, -1.0}, bounds->max.y - pd.y}};
+      for (const auto& [n, sd] : walls)
+        if (sd <= 3.0) add_row(n, sd, off);
     }
   }
 
@@ -194,6 +214,18 @@ TrajOptQp TrajOpt::build_qp(const vehicle::State& current,
   const int n_vars = 6 * H + out.slacks;
   const int m = 4 * H + 6 * H + 2 * out.slacks;
   math::QpProblem& qp = out.problem;
+
+  out.nominal.assign(static_cast<std::size_t>(n_vars), 0.0);
+  for (int h = 0; h < H; ++h) {
+    const vehicle::State& s = nominal[static_cast<std::size_t>(h + 1)];
+    const vehicle::PlannerControl& u = nominal_u[static_cast<std::size_t>(h)];
+    const double state[4] = {s.x(), s.y(), nom_theta[static_cast<std::size_t>(h + 1)],
+                             s.speed};
+    out.nominal[static_cast<std::size_t>(ux(h, 0))] = u.accel;
+    out.nominal[static_cast<std::size_t>(ux(h, 1))] = u.steer;
+    for (int c = 0; c < 4; ++c)
+      out.nominal[static_cast<std::size_t>(sx(h + 1, c))] = state[c];
+  }
 
   // ---- cost ----
   std::vector<math::Triplet> p;
@@ -326,17 +358,67 @@ std::vector<vehicle::PlannerControl> TrajOpt::controls_of(
   return u;
 }
 
+math::QpWarmStart TrajOpt::qp_warm_start(const TrajOptQp& qp, math::QpWarmStart prev,
+                                         int prev_slacks) const {
+  const std::size_t stage_vars = static_cast<std::size_t>(6 * config_.horizon);
+  const std::size_t stage_rows = static_cast<std::size_t>(10 * config_.horizon);
+  const std::size_t slacks = static_cast<std::size_t>(qp.slacks);
+  if (prev.x.empty()) {
+    prev.x = qp.nominal;
+  } else if (prev_slacks != qp.slacks &&
+             prev.x.size() == stage_vars + static_cast<std::size_t>(prev_slacks)) {
+    prev.x.erase(prev.x.begin(), prev.x.begin() + prev_slacks);
+    prev.x.insert(prev.x.begin(), slacks, 0.0);
+  }
+  const bool same_rows =
+      prev_slacks == qp.slacks && prev.y.size() == qp.problem.num_constraints();
+  if (!same_rows && prev.y.size() >= stage_rows) {
+    prev.y.resize(stage_rows);
+    prev.y.resize(stage_rows + 2 * slacks, 0.0);
+  }
+  return prev;
+}
+
+namespace {
+
+// `duals` (the 10H stage rows of a QP over `horizon` stages) advanced one
+// stage, the last stage repeated, as the controls of a warm start are.
+std::vector<double> shift_stage_duals(const std::vector<double>& duals, int horizon) {
+  const std::size_t H = static_cast<std::size_t>(horizon);
+  if (duals.size() != 10 * H) return {};
+  std::vector<double> out(duals.size());
+  // Dynamics rows (4 per stage), state bounds (4) and control bounds (2).
+  std::size_t begin = 0;
+  for (const std::size_t width : {4u, 4u, 2u}) {
+    for (std::size_t h = 0; h < H; ++h) {
+      const std::size_t from = std::min(h + 1, H - 1);
+      std::copy_n(duals.begin() + static_cast<std::ptrdiff_t>(begin + from * width), width,
+                  out.begin() + static_cast<std::ptrdiff_t>(begin + h * width));
+    }
+    begin += width * H;
+  }
+  return out;
+}
+
+}  // namespace
+
 TrajOptResult TrajOpt::solve(const vehicle::State& current,
                              const std::vector<TargetPoint>& targets,
                              const std::vector<PredictedObstacle>& obstacles,
-                             const std::vector<vehicle::PlannerControl>* warm,
+                             const geom::Aabb* bounds, const TrajOptResult* warm,
                              const core::FrameContext* frame) const {
   TrajOptResult res;
   const int H = config_.horizon;
   if (static_cast<int>(targets.size()) < H) return res;
 
-  std::vector<vehicle::PlannerControl> nominal_u = initial_nominal(current, warm);
-  std::vector<double> prev_solution;
+  std::vector<vehicle::PlannerControl> nominal_u =
+      initial_nominal(current, warm ? &warm->controls : nullptr);
+  math::QpWarmStart qp_warm;
+  if (warm) {
+    qp_warm.y = shift_stage_duals(warm->stage_duals, H);
+    qp_warm.rho = warm->rho;
+  }
+  int prev_slacks = 0;
   const math::QpSolver solver(config_.qp);
   for (int sqp = 0; sqp < config_.sqp_iterations; ++sqp) {
     // Frame-budget poll between SQP rounds: the first round always runs so
@@ -344,10 +426,9 @@ TrajOptResult TrajOpt::solve(const vehicle::State& current,
     // later rounds only refine it.
     if (sqp > 0 && frame != nullptr && frame->expired()) break;
 
-    const TrajOptQp qp = build_qp(current, targets, obstacles, nominal_u);
-    const bool warm_ok = prev_solution.size() == qp.problem.q.size();
+    const TrajOptQp qp = build_qp(current, targets, obstacles, bounds, nominal_u);
     math::QpResult sol =
-        solver.solve(qp.problem, warm_ok ? &prev_solution : nullptr, nullptr);
+        solver.solve(qp.problem, qp_warm_start(qp, std::move(qp_warm), prev_slacks));
     if (!sol.ok() && sol.status != math::QpStatus::kMaxIterations) {
       // Singular/invalid — keep whatever nominal we have.
       break;
@@ -356,8 +437,11 @@ TrajOptResult TrajOpt::solve(const vehicle::State& current,
     res.objective = sol.objective;
     res.qp_iterations += sol.iterations;
     res.active_obstacle_constraints = qp.slacks;
+    res.stage_duals.assign(sol.y.begin(), sol.y.begin() + 10 * H);
+    res.rho = sol.rho;
     nominal_u = controls_of(qp, sol.x);
-    prev_solution = std::move(sol.x);
+    qp_warm = {std::move(sol.x), std::move(sol.y), sol.rho};
+    prev_slacks = qp.slacks;
     res.ok = true;
   }
 

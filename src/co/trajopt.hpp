@@ -46,16 +46,22 @@ struct TrajOptConfig {
   double obstacle_active_range = 16.0;
   int collision_discs = 3;           ///< discs covering the footprint
   /// MPC-grade QP settings: accuracy relaxed for real-time solves (the
-  /// SQP loop re-solves anyway, and warm starts absorb the slack).
-  math::QpSettings qp{.max_iterations = 500, .eps_abs = 1e-3, .eps_rel = 1e-3};
+  /// SQP loop re-solves anyway, and warm starts absorb the slack). The
+  /// residuals are checked every 5 iterations, so a warm-started QP that
+  /// converges early stops early.
+  math::QpSettings qp{.max_iterations = 500, .eps_abs = 1e-3, .eps_rel = 1e-3,
+                      .check_interval = 5};
 };
 
-/// Result of one MPC solve.
+/// Result of one MPC solve. Its controls, stage duals and rho are the warm
+/// start of the next frame's solve.
 struct TrajOptResult {
   bool ok = false;
   vehicle::PlannerControl control;        ///< first control a*_i to execute
   std::vector<vehicle::State> predicted;  ///< nonlinear rollout of the plan
   std::vector<vehicle::PlannerControl> controls;
+  std::vector<double> stage_duals;  ///< y of the last QP's 10H stage rows
+  double rho = 0.0;                 ///< the last QP's final ADMM penalty
   double objective = 0.0;
   int qp_iterations = 0;
   int active_obstacle_constraints = 0;
@@ -71,9 +77,15 @@ struct TrajOptResult {
 /// the (x, y, theta) of its own stage, so eliminating the slacks first
 /// keeps their fill inside that stage's block, and the rest of the
 /// factor stays banded.
+///
+/// The rows are the 10H stage rows (4H dynamics, 4H state bounds, 2H
+/// control bounds), then two rows per slack: its half-space and `s >= 0`.
 struct TrajOptQp {
   math::QpProblem problem;
-  int slacks = 0;  ///< obstacle half-space rows, one slack variable each
+  int slacks = 0;  ///< obstacle and wall half-space rows, one slack each
+  /// The linearization point as QP variables: the nominal controls, the
+  /// rollout's states with lifted headings, and the slacks at 0.
+  std::vector<double> nominal;
 
   /// Index of control component `c` (0 accel, 1 steer) of u_h, h in [0, H).
   int control_index(int h, int c) const { return slacks + 6 * h + c; }
@@ -87,7 +99,7 @@ struct TrajOptQp {
 /// the spirit of the convexification pipeline the paper implements on CVXPY.
 ///
 /// `solve` runs the SQP loop from its public steps: `initial_nominal`,
-/// then per round `build_qp`, a QP solve and `controls_of`.
+/// then per round `build_qp`, `qp_warm_start`, a QP solve and `controls_of`.
 class TrajOpt {
  public:
   TrajOpt(TrajOptConfig config, vehicle::VehicleParams params);
@@ -95,15 +107,17 @@ class TrajOpt {
   const TrajOptConfig& config() const { return config_; }
 
   /// Solve the MPC from `current`, tracking `targets` (size >= horizon) and
-  /// avoiding `obstacles`. `warm_start` carries the previous solution's
-  /// controls (shifted internally). With `frame` set, the SQP loop polls it
-  /// between convexify-and-solve rounds and returns the best-so-far result
-  /// (at least one round always runs) once the frame budget trips.
+  /// avoiding `obstacles` and, when set, the walls of `bounds`. `warm` is
+  /// the previous frame's result: its controls, stage duals and rho start
+  /// this solve, the first two shifted one stage. With `frame` set, the SQP
+  /// loop polls it between convexify-and-solve rounds and returns the
+  /// best-so-far result (at least one round always runs) once the frame
+  /// budget trips.
   TrajOptResult solve(const vehicle::State& current,
                       const std::vector<TargetPoint>& targets,
                       const std::vector<PredictedObstacle>& obstacles,
-                      const std::vector<vehicle::PlannerControl>* warm_start =
-                          nullptr,
+                      const geom::Aabb* bounds = nullptr,
+                      const TrajOptResult* warm = nullptr,
                       const core::FrameContext* frame = nullptr) const;
 
   /// The nominal controls of the first SQP round: `warm` shifted by one
@@ -115,10 +129,22 @@ class TrajOpt {
   /// The QP of one SQP round, linearized around the rollout of `nominal`
   /// (size horizon) from `current`. `targets` holds at least horizon
   /// points; obstacles beyond the active range of `current` are ignored.
+  /// With `bounds` set, every disc within 3 m of a wall gets a half-space
+  /// row keeping it `disc_radius() + safety_margin` inside that wall.
   TrajOptQp build_qp(const vehicle::State& current,
                      const std::vector<TargetPoint>& targets,
                      const std::vector<PredictedObstacle>& obstacles,
+                     const geom::Aabb* bounds,
                      const std::vector<vehicle::PlannerControl>& nominal) const;
+
+  /// The warm start of `qp` in an SQP round. `prev` is the previous round's
+  /// `{x, y, rho}` over `prev_slacks` slacks. In the first round `prev.x` is
+  /// empty and `prev.y` holds the 10H stage duals carried from the previous
+  /// frame, or nothing; x then starts at `qp.nominal`. When the slack count
+  /// changes, the stage block of x and the stage rows of y carry over and
+  /// the slack entries and rows start at 0. rho always carries over.
+  math::QpWarmStart qp_warm_start(const TrajOptQp& qp, math::QpWarmStart prev,
+                                  int prev_slacks) const;
 
   /// The controls of a solution `x` of `qp`, clamped to the actuator limits.
   std::vector<vehicle::PlannerControl> controls_of(

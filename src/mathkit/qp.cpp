@@ -9,6 +9,11 @@ namespace icoil::math {
 
 namespace {
 
+constexpr double kRhoMin = 1e-6;
+constexpr double kRhoMax = 1e6;
+// Residual scales below this count as this, so a zero scale cannot divide.
+constexpr double kScaleFloor = 1e-10;
+
 bool all_finite(const std::vector<double>& v) {
   return std::all_of(v.begin(), v.end(), [](double x) { return std::isfinite(x); });
 }
@@ -128,8 +133,7 @@ double objective(const QpProblem& prob, const std::vector<double>& x) {
 
 }  // namespace
 
-QpResult QpSolver::solve(const QpProblem& prob, const std::vector<double>* x0,
-                         const std::vector<double>* y0) const {
+QpResult QpSolver::solve(const QpProblem& prob, const QpWarmStart& warm) const {
   QpResult res;
   if (!prob.valid()) {
     res.status = QpStatus::kInvalidProblem;
@@ -138,7 +142,10 @@ QpResult QpSolver::solve(const QpProblem& prob, const std::vector<double>* x0,
   const std::size_t n = prob.num_vars();
   const std::size_t m = prob.num_constraints();
 
-  double rho = settings_.rho;
+  double rho = std::isfinite(warm.rho) && warm.rho > 0.0
+                   ? std::clamp(warm.rho, kRhoMin, kRhoMax)
+                   : settings_.rho;
+  res.rho = rho;
   const double sigma = settings_.sigma;
   const double alpha = settings_.alpha;
 
@@ -172,8 +179,8 @@ QpResult QpSolver::solve(const QpProblem& prob, const std::vector<double>* x0,
   }
 
   // Every buffer of the loop is allocated here, once.
-  std::vector<double> x = x0 && x0->size() == n ? *x0 : std::vector<double>(n, 0.0);
-  std::vector<double> y = y0 && y0->size() == m ? *y0 : std::vector<double>(m, 0.0);
+  std::vector<double> x = warm.x.size() == n ? warm.x : std::vector<double>(n, 0.0);
+  std::vector<double> y = warm.y.size() == m ? warm.y : std::vector<double>(m, 0.0);
   std::vector<double> x_next(n), px(n), aty(n), r_dual_vec(n);
   std::vector<double> z(m), z_next(m), z_tilde(m), ax(m), rz_y(m);  // rz_y: also A x - z
   prob.a.apply(x.data(), ax.data());
@@ -214,13 +221,10 @@ QpResult QpSolver::solve(const QpProblem& prob, const std::vector<double>* x0,
       r_dual_vec[i] = px[i] + prob.q[i] + aty[i];
     const double r_dual = norm_inf(r_dual_vec);
 
-    const double eps_prim =
-        settings_.eps_abs +
-        settings_.eps_rel * std::max(norm_inf(ax), norm_inf(z));
-    const double eps_dual =
-        settings_.eps_abs +
-        settings_.eps_rel *
-            std::max({norm_inf(px), norm_inf(aty), norm_inf(prob.q)});
+    const double prim_scale = std::max(norm_inf(ax), norm_inf(z));
+    const double dual_scale = std::max({norm_inf(px), norm_inf(aty), norm_inf(prob.q)});
+    const double eps_prim = settings_.eps_abs + settings_.eps_rel * prim_scale;
+    const double eps_dual = settings_.eps_abs + settings_.eps_rel * dual_scale;
 
     res.primal_residual = r_prim;
     res.dual_residual = r_dual;
@@ -229,11 +233,14 @@ QpResult QpSolver::solve(const QpProblem& prob, const std::vector<double>* x0,
       break;
     }
 
-    // Adaptive rho (geometric update toward residual balance).
+    // Adaptive rho: a geometric step toward balancing the residuals, each
+    // relative to its own scale, as OSQP updates rho.
     if (settings_.adaptive_rho && r_dual > 0.0 && r_prim > 0.0) {
-      const double ratio = std::sqrt(r_prim / r_dual);
+      const double ratio = std::sqrt((r_prim / std::max(prim_scale, kScaleFloor)) /
+                                     (r_dual / std::max(dual_scale, kScaleFloor)));
       if (ratio > 5.0 || ratio < 0.2) {
-        rho = std::clamp(rho * ratio, 1e-6, 1e6);
+        rho = std::clamp(rho * ratio, kRhoMin, kRhoMax);
+        res.rho = rho;
         set_rho(rho);
         if (!kkt.factor(sigma, rho_vec)) {
           res.status = QpStatus::kSingularKkt;

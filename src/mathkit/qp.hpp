@@ -45,6 +45,7 @@ struct QpResult {
   QpStatus status = QpStatus::kInvalidProblem;
   std::vector<double> x;       ///< primal solution
   std::vector<double> y;       ///< dual solution (Lagrange multipliers)
+  double rho = 0.0;            ///< ADMM penalty of the last iteration
   double objective = 0.0;
   int iterations = 0;
   double primal_residual = 0.0;
@@ -53,20 +54,32 @@ struct QpResult {
   bool ok() const { return status == QpStatus::kSolved; }
 };
 
+/// Where an ADMM solve starts: primal `x` (size n), dual `y` (size m) and
+/// penalty `rho`. An `x` or `y` of another size starts at 0, and a `rho`
+/// that is not finite and positive starts at `QpSettings::rho`. A previous
+/// result's `{x, y, rho}` restarts a solve where it stopped.
+struct QpWarmStart {
+  std::vector<double> x;
+  std::vector<double> y;
+  double rho = 0.0;
+};
+
 /// Sparse ADMM solver implementing the OSQP algorithm
 /// (Stellato et al., "OSQP: an operator splitting solver for quadratic
 /// programs"). Each solve factors K = P + sigma*I + A^T R A with the sparse
 /// LDLT of mathkit/ldlt.hpp: the symbolic step runs once per problem and
 /// every adaptive-rho change only refactors numerically. The variable order
 /// of the problem is the elimination order. The ADMM loop allocates
-/// nothing. Supports warm starting via `x0`/`y0`.
+/// nothing.
+///
+/// Adaptive rho follows OSQP: at each residual check the ratio of the
+/// primal and dual residuals, each divided by its own scale, moves rho
+/// when it leaves [1/5, 5].
 class QpSolver {
  public:
   explicit QpSolver(QpSettings settings = {}) : settings_(settings) {}
 
-  QpResult solve(const QpProblem& problem,
-                 const std::vector<double>* x0 = nullptr,
-                 const std::vector<double>* y0 = nullptr) const;
+  QpResult solve(const QpProblem& problem, const QpWarmStart& warm = {}) const;
 
   const QpSettings& settings() const { return settings_; }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <utility>
 
 #include "co/hybrid_astar.hpp"
 #include "co/planner.hpp"
@@ -323,9 +325,125 @@ TEST(TrajOptTest, WarmStartAccepted) {
   const auto targets = straight_targets(cfg.horizon, 1.0, 1.0 * cfg.dt);
   const TrajOptResult cold = opt.solve(s, targets, {});
   ASSERT_TRUE(cold.ok);
-  const TrajOptResult warm = opt.solve(s, targets, {}, &cold.controls);
+  const TrajOptResult warm = opt.solve(s, targets, {}, nullptr, &cold);
   ASSERT_TRUE(warm.ok);
   EXPECT_NEAR(warm.control.accel, cold.control.accel, 0.3);
+}
+
+// A short MPC run past a parked car: each frame executes the first
+// control of the last plan, and the targets advance one step. Fed the
+// previous frame's controls, stage duals and rho, a frame's QPs converge
+// in at most half the iterations of the same frame started cold.
+TEST(TrajOptTest, WarmStartAcrossFramesCutsIterations) {
+  TrajOptConfig cfg;
+  TrajOpt opt(cfg, vehicle::VehicleParams{});
+  const geom::Aabb bounds{{-10.0, -6.0}, {30.0, 6.0}};
+  const PredictedObstacle parked{geom::Obb{{6.0, 2.4}, 0.0, 2.2, 0.9}, {}};
+  const auto targets_at = [&](int frame) {
+    std::vector<TargetPoint> out;
+    for (int i = 1; i <= cfg.horizon; ++i)
+      out.push_back({{(frame + i) * 1.5 * cfg.dt, 0.6, 0.0}, 1.5});
+    return out;
+  };
+  vehicle::State s;
+  s.speed = 1.2;
+  TrajOptResult last = opt.solve(s, targets_at(0), {parked}, &bounds);
+  for (int frame = 1; frame <= 5; ++frame) {
+    ASSERT_TRUE(last.ok);
+    s = last.predicted[1];
+    ASSERT_EQ(last.stage_duals.size(), static_cast<std::size_t>(10 * cfg.horizon));
+    const TrajOptResult warm = opt.solve(s, targets_at(frame), {parked}, &bounds, &last);
+    const TrajOptResult cold = opt.solve(s, targets_at(frame), {parked}, &bounds);
+    EXPECT_EQ(warm.ok, cold.ok) << "frame " << frame;
+    EXPECT_GT(warm.active_obstacle_constraints, 0) << "frame " << frame;
+    EXPECT_LE(2 * warm.qp_iterations, cold.qp_iterations) << "frame " << frame;
+    last = warm;
+  }
+}
+
+// An obstacle that comes into range between SQP rounds changes the slack
+// count. The next round keeps the stage block of x (controls and states)
+// and the stage rows of y (dynamics and bounds); only the slack entries
+// and rows start at 0.
+TEST(TrajOptTest, SlackCountChangeKeepsStageWarmStart) {
+  TrajOptConfig cfg;
+  TrajOpt opt(cfg, vehicle::VehicleParams{});
+  const int H = cfg.horizon;
+  vehicle::State s;
+  s.speed = 1.5;
+  const auto targets = straight_targets(H, 1.5, 1.5 * cfg.dt);
+  const auto nominal = opt.initial_nominal(s, nullptr);
+  const PredictedObstacle box{geom::Obb{{5.5, 1.8}, 0.0, 0.4, 0.4}, {}};
+  const TrajOptQp without = opt.build_qp(s, targets, {}, nullptr, nominal);
+  const TrajOptQp with = opt.build_qp(s, targets, {box}, nullptr, nominal);
+  ASSERT_EQ(without.slacks, 0);
+  ASSERT_GT(with.slacks, 0);
+
+  const math::QpSolver solver(cfg.qp);
+  for (const auto& [from, to] : {std::pair{&without, &with}, std::pair{&with, &without}}) {
+    const math::QpResult prev = solver.solve(from->problem, {from->nominal, {}, 0.0});
+    ASSERT_TRUE(prev.ok());
+    const math::QpWarmStart next =
+        opt.qp_warm_start(*to, {prev.x, prev.y, prev.rho}, from->slacks);
+    ASSERT_EQ(next.x.size(), to->problem.num_vars());
+    ASSERT_EQ(next.y.size(), to->problem.num_constraints());
+    EXPECT_EQ(next.rho, prev.rho);
+    for (int i = 0; i < to->slacks; ++i) EXPECT_EQ(next.x[static_cast<std::size_t>(i)], 0.0);
+    for (int i = 0; i < 6 * H; ++i)
+      EXPECT_EQ(next.x[static_cast<std::size_t>(to->slacks + i)],
+                prev.x[static_cast<std::size_t>(from->slacks + i)]);
+    for (int r = 0; r < 10 * H; ++r)
+      EXPECT_EQ(next.y[static_cast<std::size_t>(r)], prev.y[static_cast<std::size_t>(r)]);
+    for (std::size_t r = 10 * H; r < next.y.size(); ++r) EXPECT_EQ(next.y[r], 0.0);
+  }
+
+  // The first round starts x at the linearization point, slacks at 0.
+  const math::QpWarmStart first = opt.qp_warm_start(with, {}, 0);
+  EXPECT_EQ(first.x, with.nominal);
+  EXPECT_TRUE(first.y.empty());
+  for (int h = 0; h < H; ++h)
+    EXPECT_EQ(with.nominal[static_cast<std::size_t>(with.control_index(h, 0))],
+              nominal[static_cast<std::size_t>(h)].accel);
+  EXPECT_NEAR(with.nominal[static_cast<std::size_t>(with.state_index(1, 3))],
+              s.speed + nominal[0].accel * cfg.dt, 1e-12);
+}
+
+// Targets that run through the lot's far wall: the plan stops short of it.
+// World::in_collision fails a footprint corner outside the bounds, and the
+// discs cover the footprint, so every predicted disc centre stays at least
+// a disc radius inside every wall.
+TEST(TrajOptTest, WallRowsKeepDiscsInsideBounds) {
+  TrajOptConfig cfg;
+  TrajOpt opt(cfg, vehicle::VehicleParams{});
+  const geom::Aabb bounds{{-4.0, -3.0}, {9.0, 3.5}};
+  vehicle::State s;
+  s.pose = {2.0, 0.5, 0.3};
+  s.speed = 1.5;
+  std::vector<TargetPoint> targets;
+  for (int i = 1; i <= cfg.horizon; ++i)
+    targets.push_back({{2.0 + 0.6 * i, 0.5 + 0.2 * i, 0.3}, 2.0});
+
+  const double r = opt.disc_radius();
+  const auto worst_excess = [&](const TrajOptResult& res) {
+    double worst = -1e9;
+    for (const vehicle::State& p : res.predicted) {
+      for (double off : opt.disc_offsets()) {
+        const geom::Vec2 c{p.x() + std::cos(p.pose.heading) * off,
+                           p.y() + std::sin(p.pose.heading) * off};
+        worst = std::max({worst, bounds.min.x + r - c.x, c.x - (bounds.max.x - r),
+                          bounds.min.y + r - c.y, c.y - (bounds.max.y - r)});
+      }
+    }
+    return worst;
+  };
+  const TrajOptResult walled = opt.solve(s, targets, {}, &bounds);
+  ASSERT_TRUE(walled.ok);
+  EXPECT_GT(walled.active_obstacle_constraints, 0);
+  EXPECT_LE(worst_excess(walled), 1e-2);
+  // Without the walls the same plan leaves the lot.
+  const TrajOptResult open = opt.solve(s, targets, {});
+  ASSERT_TRUE(open.ok);
+  EXPECT_GT(worst_excess(open), 0.5);
 }
 
 // A NaN state once reached the QP solver, which reported kSolved with a

@@ -1,9 +1,9 @@
 #pragma once
 
 // Dense reference implementation of the ADMM QP solver: the same OSQP
-// iteration as math::QpSolver (rho rule, sigma, alpha, check cadence,
-// tolerances, warm start) on dense P, A and A^T with a dense O(n^3) LDLT
-// refactored on every rho change. It is the differential oracle of the
+// iteration as math::QpSolver (scaled-residual rho rule, sigma, alpha,
+// check cadence, tolerances, x/y/rho warm start) on dense P, A and A^T
+// with a dense O(n^3) LDLT refactored on every rho change. It is the differential oracle of the
 // sparse solver (qp_parity_test) and the baseline of its micro-benchmark.
 // Header-only, so every tests/*.cpp can include it without being linked
 // into an executable of its own.
@@ -65,8 +65,7 @@ class DenseLdlt {
 /// (`QpProblem::valid`), so both reject the same inputs.
 inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
                                      const math::QpSettings& settings = {},
-                                     const std::vector<double>* x0 = nullptr,
-                                     const std::vector<double>* y0 = nullptr) {
+                                     const math::QpWarmStart& warm = {}) {
   using math::Matrix;
   math::QpResult res;
   if (!prob.valid()) {
@@ -76,7 +75,10 @@ inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
   const std::size_t n = prob.num_vars();
   const std::size_t m = prob.num_constraints();
   const Matrix p = prob.p.to_dense();
-  double rho = settings.rho;
+  double rho = std::isfinite(warm.rho) && warm.rho > 0.0
+                   ? std::clamp(warm.rho, 1e-6, 1e6)
+                   : settings.rho;
+  res.rho = rho;
   const double sigma = settings.sigma;
   const double alpha = settings.alpha;
 
@@ -123,8 +125,8 @@ inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
     return res;
   }
 
-  std::vector<double> x = x0 && x0->size() == n ? *x0 : std::vector<double>(n, 0.0);
-  std::vector<double> y = y0 && y0->size() == m ? *y0 : std::vector<double>(m, 0.0);
+  std::vector<double> x = warm.x.size() == n ? warm.x : std::vector<double>(n, 0.0);
+  std::vector<double> y = warm.y.size() == m ? warm.y : std::vector<double>(m, 0.0);
   std::vector<double> z = a.apply(x);
   for (std::size_t i = 0; i < m; ++i) z[i] = std::clamp(z[i], prob.l[i], prob.u[i]);
 
@@ -158,12 +160,11 @@ inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
     std::vector<double> r_dual_vec(n);
     for (std::size_t i = 0; i < n; ++i) r_dual_vec[i] = px[i] + prob.q[i] + aty[i];
     const double r_dual = math::norm_inf(r_dual_vec);
-    const double eps_prim =
-        settings.eps_abs + settings.eps_rel * std::max(math::norm_inf(ax), math::norm_inf(z));
-    const double eps_dual =
-        settings.eps_abs +
-        settings.eps_rel * std::max({math::norm_inf(px), math::norm_inf(aty),
-                                     math::norm_inf(prob.q)});
+    const double prim_scale = std::max(math::norm_inf(ax), math::norm_inf(z));
+    const double dual_scale =
+        std::max({math::norm_inf(px), math::norm_inf(aty), math::norm_inf(prob.q)});
+    const double eps_prim = settings.eps_abs + settings.eps_rel * prim_scale;
+    const double eps_dual = settings.eps_abs + settings.eps_rel * dual_scale;
     res.primal_residual = r_prim;
     res.dual_residual = r_dual;
     if (r_prim <= eps_prim && r_dual <= eps_dual) {
@@ -171,9 +172,11 @@ inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
       break;
     }
     if (settings.adaptive_rho && r_dual > 0.0 && r_prim > 0.0) {
-      const double ratio = std::sqrt(r_prim / r_dual);
+      const double ratio = std::sqrt((r_prim / std::max(prim_scale, 1e-10)) /
+                                     (r_dual / std::max(dual_scale, 1e-10)));
       if (ratio > 5.0 || ratio < 0.2) {
         rho = std::clamp(rho * ratio, 1e-6, 1e6);
+        res.rho = rho;
         kkt = build_kkt(rho);
         if (!kkt) {
           res.status = math::QpStatus::kSingularKkt;

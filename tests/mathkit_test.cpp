@@ -287,9 +287,56 @@ TEST(QpTest, WarmStartReducesIterations) {
   QpSolver solver;
   const QpResult cold = solver.solve(p);
   ASSERT_TRUE(cold.ok());
-  const QpResult warm = solver.solve(p, &cold.x, &cold.y);
+  const QpResult warm = solver.solve(p, {cold.x, cold.y, cold.rho});
   ASSERT_TRUE(warm.ok());
   EXPECT_LE(warm.iterations, cold.iterations);
+}
+
+// The residuals of this QP differ in scale by about two orders: its
+// duals are about 140 while its constraint values are about 1. Unscaled,
+// sqrt(r_prim / r_dual) stays near 4, inside the [0.2, 5] dead band, so
+// rho stayed at 0.1 and the solve ran to the 4000-iteration cap 0.0016 from
+// the solution. Divided by their scales, the residuals move rho at once.
+TEST(QpTest, AdaptiveRhoUsesScaledResiduals) {
+  QpProblem p;
+  p.p = CsrMatrix::from_dense(Matrix{{200, 50}, {50, 100}});
+  p.q = {-300, -200};
+  p.a = CsrMatrix::from_dense(Matrix{{1, 1}, {1, -1}, {1, 0}});
+  p.l = {-kQpInf, -0.5, -kQpInf};
+  p.u = {1.0, 0.5, 0.8};
+  const QpSettings settings;
+  const QpResult r = QpSolver(settings).solve(p);
+  ASSERT_TRUE(r.ok());
+  EXPECT_LT(r.iterations, 10 * settings.check_interval);
+  EXPECT_GT(r.rho, settings.rho);
+  EXPECT_NEAR(r.x[0], 0.75, 1e-3);
+  EXPECT_NEAR(r.x[1], 0.25, 1e-3);
+  EXPECT_NEAR(r.y[0], 137.5, 0.5);
+}
+
+TEST(QpTest, WarmStartCarriesRho) {
+  QpSettings settings;
+  settings.adaptive_rho = false;
+  const QpSolver solver(settings);
+  const QpProblem p = [] {
+    QpProblem q;
+    q.p = CsrMatrix::from_dense(Matrix::identity(2) * 2.0);
+    q.q = {-4.0, 1.0};
+    q.a = CsrMatrix::from_dense(Matrix::identity(2));
+    q.l = {-1.0, -1.0};
+    q.u = {1.0, 1.0};
+    return q;
+  }();
+  EXPECT_EQ(solver.solve(p).rho, settings.rho);
+  EXPECT_EQ(solver.solve(p, {{}, {}, 7.0}).rho, 7.0);
+  // A rho that is not finite and positive starts at the configured one.
+  for (const double bad : {0.0, -1.0, std::nan("")})
+    EXPECT_EQ(solver.solve(p, {{}, {}, bad}).rho, settings.rho);
+  // Vectors of the wrong size start at 0, as no warm start does.
+  const QpResult cold = solver.solve(p);
+  const QpResult odd = solver.solve(p, {{1.0, 2.0, 3.0}, {4.0}, 0.0});
+  EXPECT_EQ(odd.iterations, cold.iterations);
+  EXPECT_EQ(odd.x, cold.x);
 }
 
 TEST(QpTest, RejectsInvalidProblem) {

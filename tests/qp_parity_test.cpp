@@ -48,10 +48,10 @@ struct ParityStats {
 
 // Solves `qp` both ways and checks the gate; returns the sparse result.
 math::QpResult expect_parity(const math::QpProblem& qp, const math::QpSettings& settings,
-                             const std::vector<double>* x0, ParityStats& stats,
+                             const math::QpWarmStart& warm, ParityStats& stats,
                              const std::string& what) {
-  const math::QpResult sparse = math::QpSolver(settings).solve(qp, x0, nullptr);
-  const math::QpResult dense = oracle::dense_qp_solve(qp, settings, x0, nullptr);
+  const math::QpResult sparse = math::QpSolver(settings).solve(qp, warm);
+  const math::QpResult dense = oracle::dense_qp_solve(qp, settings, warm);
   EXPECT_EQ(sparse.status, dense.status) << what;
   EXPECT_LE(std::abs(sparse.iterations - dense.iterations), settings.check_interval)
       << what;
@@ -118,20 +118,24 @@ TEST(QpParityTest, TrajOptQpsOfEveryFamilyMatchDenseOracle) {
         s.speed = rng.uniform(-0.5, 1.5);
         const auto targets = line_targets(s.pose, g, config.horizon, config.dt, 1.0);
 
-        // The SQP loop of TrajOpt::solve, with the oracle alongside.
+        // The SQP loop of TrajOpt::solve, with the oracle alongside: the
+        // same x, y and rho warm starts, and the lot's walls.
         auto nominal = opt.initial_nominal(s, nullptr);
-        std::vector<double> prev;
+        math::QpWarmStart warm;
+        int slacks = 0;
         for (int round = 0; round < config.sqp_iterations; ++round) {
-          const co::TrajOptQp qp = opt.build_qp(s, targets, obstacles, nominal);
+          const co::TrajOptQp qp =
+              opt.build_qp(s, targets, obstacles, &sc.map.bounds, nominal);
           stats.with_slacks += qp.slacks > 0 ? 1 : 0;
-          const bool warm = prev.size() == qp.problem.q.size();
+          warm = opt.qp_warm_start(qp, std::move(warm), slacks);
           const math::QpResult sol =
-              expect_parity(qp.problem, config.qp, warm ? &prev : nullptr, stats,
+              expect_parity(qp.problem, config.qp, warm, stats,
                             family + " seed " + std::to_string(seed) + " frac " +
                                 std::to_string(frac) + " round " + std::to_string(round));
           if (!sol.ok() && sol.status != math::QpStatus::kMaxIterations) break;
           nominal = opt.controls_of(qp, sol.x);
-          prev = sol.x;
+          warm = {sol.x, sol.y, sol.rho};
+          slacks = qp.slacks;
         }
       }
     }
@@ -149,7 +153,7 @@ TEST(QpParityTest, TrajOptLayoutIsSlacksThenStages) {
   const geom::Pose2 goal{8.0, 0.0, 0.0};
   co::PredictedObstacle box{{{3.0, 1.6}, 0.0, 2.0, 1.0}, {}};
   const co::TrajOptQp qp = opt.build_qp(
-      s, line_targets(s.pose, goal, config.horizon, config.dt, 1.0), {box},
+      s, line_targets(s.pose, goal, config.horizon, config.dt, 1.0), {box}, nullptr,
       opt.initial_nominal(s, nullptr));
   ASSERT_GT(qp.slacks, 0);
   const int H = config.horizon;
@@ -274,11 +278,11 @@ TEST_P(RandomStageQp, MatchesDenseOracle) {
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     const math::QpProblem qp = random_stage_qp(c.horizon, c.slacks, seed * 31 + c.slacks);
     ASSERT_TRUE(qp.valid());
-    const math::QpResult cold = expect_parity(qp, settings, nullptr, stats, "cold");
+    const math::QpResult cold = expect_parity(qp, settings, {}, stats, "cold");
     // Warm start from a perturbed solution, as the SQP rounds do.
-    std::vector<double> x0 = cold.x;
-    for (double& v : x0) v += 0.01;
-    expect_parity(qp, settings, &x0, stats, "warm");
+    math::QpWarmStart warm{cold.x, cold.y, cold.rho};
+    for (double& v : warm.x) v += 0.01;
+    expect_parity(qp, settings, warm, stats, "warm");
   }
   stats.record();
 }
@@ -308,7 +312,7 @@ TEST(QpParityTest, UnconstrainedPathMatchesDenseOracle) {
     math::QpProblem qp;
     qp.p = math::CsrMatrix::from_triplets(n, n, p);
     for (int i = 0; i < n; ++i) qp.q.push_back(rng.normal());
-    const math::QpResult r = expect_parity(qp, {}, nullptr, stats, "unconstrained");
+    const math::QpResult r = expect_parity(qp, {}, {}, stats, "unconstrained");
     EXPECT_EQ(r.status, math::QpStatus::kSolved);
     EXPECT_EQ(r.iterations, 0);
   }
@@ -325,12 +329,12 @@ TEST(QpParityTest, SingularPivotIsRejectedByBoth) {
   qp.a = math::CsrMatrix::from_triplets(1, 2, {{0, 0, 1.0}});
   qp.l = {-1.0};
   qp.u = {1.0};
-  EXPECT_EQ(expect_parity(qp, settings, nullptr, stats, "zero pivot").status,
+  EXPECT_EQ(expect_parity(qp, settings, {}, stats, "zero pivot").status,
             math::QpStatus::kSingularKkt);
   qp.a = math::CsrMatrix::from_dense(math::Matrix(0, 2));
   qp.l.clear();
   qp.u.clear();
-  EXPECT_EQ(expect_parity(qp, settings, nullptr, stats, "zero pivot, m = 0").status,
+  EXPECT_EQ(expect_parity(qp, settings, {}, stats, "zero pivot, m = 0").status,
             math::QpStatus::kSingularKkt);
 }
 
@@ -343,7 +347,7 @@ TEST(QpParityTest, PivotThresholdIsTheDenseOne) {
     math::QpProblem qp;
     qp.p = math::CsrMatrix::from_triplets(2, 2, {{0, 0, 1.0}, {1, 1, d}});
     qp.q = {1.0, 0.0};
-    const math::QpResult r = expect_parity(qp, settings, nullptr, stats, "threshold");
+    const math::QpResult r = expect_parity(qp, settings, {}, stats, "threshold");
     EXPECT_EQ(r.status, d < 1e-12 ? math::QpStatus::kSingularKkt : math::QpStatus::kSolved);
   }
 }
