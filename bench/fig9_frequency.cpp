@@ -70,7 +70,7 @@ void BM_BevRender(benchmark::State& state) {
     benchmark::DoNotOptimize(raster.render(world, ego.pose));
   }
 }
-BENCHMARK(BM_BevRender)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BevRender)->Unit(benchmark::kMicrosecond);
 
 void BM_DnnForward(benchmark::State& state) {
   const world::Scenario sc = bench_scenario();

@@ -65,7 +65,10 @@ class BevRasterizer {
 
   const BevSpec& spec() const { return spec_; }
 
-  /// Render the scene as observed from `ego_pose`.
+  /// Render the scene as observed from `ego_pose`: a pixel is lit when its
+  /// centre (pixel_to_world) lies in a box by Obb::contains. Each box is
+  /// tested only inside its padded pixel rectangle; the image is bit-identical
+  /// to testing every box at every pixel.
   BevImage render(const world::World& world, const geom::Pose2& ego_pose) const;
 
   /// World coordinates of a pixel centre as seen from `ego_pose`.

@@ -71,17 +71,6 @@ std::vector<ObstacleState> World::obstacle_states() const {
   return out;
 }
 
-std::vector<geom::Obb> World::obstacle_boxes() const {
-  std::vector<geom::Obb> out;
-  out.reserve(scenario_.obstacles.size());
-  for (std::size_t i = 0; i < scenario_.obstacles.size(); ++i) {
-    const int slot = slot_of_[i];
-    out.push_back(slot >= 0 ? dynamic_boxes_[static_cast<std::size_t>(slot)]
-                            : scenario_.obstacles[i].shape);
-  }
-  return out;
-}
-
 bool World::bay_occupied(std::size_t bay_index) const {
   const geom::Obb& bay = scenario_.map.bays[bay_index];
   for (const geom::Obb& s : static_set_.boxes())

@@ -89,7 +89,6 @@ class World {
 
   /// Ground-truth obstacle footprints at the current time.
   std::vector<ObstacleState> obstacle_states() const;
-  std::vector<geom::Obb> obstacle_boxes() const;
 
   /// Broad-phase cache over the static obstacles (footprints never move).
   const geom::ObbSet& static_obstacle_set() const { return static_set_; }

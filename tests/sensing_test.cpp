@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "bev_oracle.hpp"
 #include "geom/angles.hpp"
+#include "mathkit/rng.hpp"
 #include "sensing/bev.hpp"
 #include "sensing/detector.hpp"
 #include "sensing/noise.hpp"
+#include "world/generators/registry.hpp"
 #include "world/scenario.hpp"
 
 namespace icoil::sense {
@@ -112,6 +117,80 @@ TEST(BevRasterizerTest, FarObstaclesCulled) {
   BevRasterizer raster({32, 10.0});  // narrow window
   const BevImage img = raster.render(world, {5.0, 25.0, 0.0});
   EXPECT_FLOAT_EQ(img.channel_mean(kBevObstacles), 0.0f);
+}
+
+/// render against the per-pixel oracle (tests/bev_oracle.hpp), compared with
+/// memcmp: every registered family at every difficulty, at the policy's
+/// spec, the default spec, a narrow window and an odd size. Dynamic
+/// obstacles move between poses. The poses cover the start, the goal, random
+/// poses in the lot and up to 5 m outside it at any heading, an ego inside an
+/// obstacle, and an obstacle centred on the window's edge or corner, where
+/// its pixel rectangle is clamped to the image.
+TEST(BevRasterizerTest, MatchesPerPixelOracleBitForBit) {
+  const BevSpec specs[] = {{48, 19.2}, {64, 24.0}, {32, 10.0}, {17, 7.3}};
+  const world::Difficulty levels[] = {world::Difficulty::kEasy,
+                                      world::Difficulty::kNormal,
+                                      world::Difficulty::kHard};
+  math::Rng rng(20);
+  double obstacle_pixels = 0.0, goal_pixels = 0.0;
+  int renders = 0;
+  for (const std::string& generator :
+       world::GeneratorRegistry::instance().names()) {
+    for (const world::Difficulty level : levels) {
+      world::ScenarioOptions opt;
+      opt.generator = generator;
+      opt.difficulty = level;
+      world::World world(world::make_scenario(opt, 7));
+      const geom::Aabb& lot = world.map().bounds;
+      for (int k = 0; k < 48; ++k) {
+        world.step(0.2);
+        const auto states = world.obstacle_states();
+        ASSERT_FALSE(states.empty()) << generator;
+        const geom::Obb& box = states[static_cast<std::size_t>(k) % states.size()].box;
+        for (const BevSpec& spec : specs) {
+          const BevRasterizer raster(spec);
+          const double heading = rng.uniform(-geom::kPi, geom::kPi);
+          geom::Pose2 ego;
+          if (k == 0) {
+            ego = world.scenario().start_pose;
+          } else if (k == 1) {
+            ego = world.map().goal_pose;
+          } else if (k % 3 == 0) {
+            ego = {box.center, heading};
+          } else if (k % 3 == 1) {
+            ego = {rng.uniform(lot.min.x - 5.0, lot.max.x + 5.0),
+                   rng.uniform(lot.min.y - 5.0, lot.max.y + 5.0), heading};
+          } else {
+            // The box centre on the window's border, in the ego frame: a
+            // corner every fourth time, else a random point of one side.
+            const double half = spec.range * 0.5;
+            const double t =
+                k % 4 == 2 ? half : rng.uniform(-half, half);
+            const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
+            const geom::Vec2 local = rng.bernoulli(0.5)
+                                         ? geom::Vec2{sign * half, t}
+                                         : geom::Vec2{t, sign * half};
+            ego = {box.center - local.rotated(heading), heading};
+          }
+          const BevImage got = raster.render(world, ego);
+          const BevImage want = testing::oracle_render(raster, world, ego);
+          ASSERT_EQ(got.num_values(), want.num_values());
+          ASSERT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                want.num_values() * sizeof(float)),
+                    0)
+              << generator << " " << world::to_string(level) << " pose " << k
+              << " spec " << spec.size << "/" << spec.range << " ego ("
+              << ego.x() << ", " << ego.y() << ", " << ego.heading << ")";
+          obstacle_pixels += want.channel_mean(kBevObstacles);
+          goal_pixels += want.channel_mean(kBevGoal);
+          ++renders;
+        }
+      }
+    }
+  }
+  // The comparison saw real content, not empty images.
+  EXPECT_GT(obstacle_pixels / renders, 0.01);
+  EXPECT_GT(goal_pixels, 0.0);
 }
 
 // ----------------------------------------------------------------- noise

@@ -226,12 +226,12 @@ TEST(WorldTest, SteppingMovesDynamicObstacles) {
   ScenarioOptions opt;
   opt.difficulty = Difficulty::kNormal;
   World world(make_scenario(opt, 5));
-  const auto before = world.obstacle_boxes();
+  const auto before = world.obstacle_states();
   for (int i = 0; i < 40; ++i) world.step(0.05);
-  const auto after = world.obstacle_boxes();
+  const auto after = world.obstacle_states();
   double moved = 0.0;
   for (std::size_t i = 0; i < before.size(); ++i)
-    moved += geom::distance(before[i].center, after[i].center);
+    moved += geom::distance(before[i].box.center, after[i].box.center);
   EXPECT_GT(moved, 1.0);
   world.reset();
   EXPECT_DOUBLE_EQ(world.time(), 0.0);
