@@ -18,19 +18,8 @@
 //
 // Results land in the `mission` table of a sim::RunReport.
 //
-// Usage:
-//   bench_mission [options]
-//     --templates LIST   comma list of templates (default: all registered)
-//     --missions N       missions per template (default 4)
-//     --method NAME      controller registry key (default co)
-//     --seed S           base seed; mission m uses seed S+m (default 9000)
-//     --threads N        pool width for the wide pass (default recommended)
-//     --report PATH      write the RunReport JSON artifact
-//     --baseline PATH    compare against a committed baseline report
-//     --success-tol X    allowed mission success-ratio drop (default 0.02)
-//     --replan-tol X     allowed |replans/mission| drift (default 0.5)
-//     --list-templates   print registered mission templates and exit
-//     --quick            smoke mode: contested_lot only, 2 missions
+// Usage: bench_mission [options]; the flag table in main() documents every
+// flag, and a bad flag prints the usage generated from it.
 //
 // Exit codes: 0 ok, 1 gate failure (determinism, quick gate or baseline
 // regression), 2 usage error, 3 I/O error.
@@ -42,9 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "core/controller_registry.hpp"
 #include "core/task_pool.hpp"
+#include "driver.hpp"
 #include "mathkit/fnv.hpp"
 #include "mathkit/stats.hpp"
 #include "mathkit/table.hpp"
@@ -52,33 +41,6 @@
 #include "sim/report.hpp"
 
 namespace {
-
-using icoil::bench::parse_double_arg;
-using icoil::bench::parse_int_arg;
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--templates LIST] [--missions N] [--method NAME] "
-               "[--seed S] [--threads N] [--report PATH] [--baseline PATH] "
-               "[--success-tol X] [--replan-tol X] [--list-templates] "
-               "[--quick]\n",
-               argv0);
-  return 2;
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
 
 /// Runs every (template, mission index) pair on a pool of `threads` workers.
 /// Results are indexed template-major so the fold and the fingerprint digest
@@ -120,92 +82,60 @@ int main(int argc, char** argv) {
   std::string method = "co";
   std::uint64_t seed = 9000;
   int threads = 0;
-  std::string report_path;
-  std::string baseline_path;
+  bench::ReportOptions report_options;
   double success_tol = 0.02;
   double replan_tol = 0.5;
+  bool list_templates = false;
   bool quick = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--templates") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      templates_csv = v;
-    } else if (arg == "--missions") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &missions) || missions <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--method") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      method = v;
-    } else if (arg == "--seed") {
-      const char* v = next_value();
-      int s = 0;
-      if (v == nullptr || !parse_int_arg(v, &s) || s < 0) return usage(argv[0]);
-      seed = static_cast<std::uint64_t>(s);
-    } else if (arg == "--threads") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &threads) || threads < 0)
-        return usage(argv[0]);
-    } else if (arg == "--report") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      report_path = v;
-    } else if (arg == "--baseline") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      baseline_path = v;
-    } else if (arg == "--success-tol") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &success_tol) ||
-          success_tol < 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--replan-tol") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &replan_tol) || replan_tol < 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--list-templates") {
-      for (const std::string& name : mission::MissionRegistry::instance().names()) {
-        const mission::MissionSpec& spec =
-            mission::MissionRegistry::instance().at(name);
-        std::printf("%-16s %s\n", name.c_str(), spec.description.c_str());
-      }
-      return 0;
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "bench_mission: unknown argument \"%s\"\n",
-                   arg.c_str());
-      return usage(argv[0]);
-    }
+  using bench::flag;
+  bench::Cli cli(
+      "bench_mission", {},
+      {flag("--templates", "LIST",
+            "comma list of templates (default: all registered)",
+            &templates_csv),
+       flag("--missions", "N", "missions per template (default 4)", &missions,
+            1),
+       flag("--method", "NAME", "controller registry key (default co)",
+            &method),
+       flag("--seed", "S",
+            "base seed, an unsigned 64-bit integer; mission m uses S+m "
+            "(default 9000)",
+            &seed, 0),
+       flag("--threads", "N", "pool width for the wide pass (0 = recommended)",
+            &threads, 0),
+       flag("--report", "PATH", "write the RunReport JSON artifact",
+            &report_options.path),
+       flag("--baseline", "PATH", "compare against a committed baseline report",
+            &report_options.baseline),
+       flag("--success-tol", "X",
+            "allowed mission success-ratio drop (default 0.02)", &success_tol,
+            0.0),
+       flag("--replan-tol", "X",
+            "allowed |replans/mission| drift (default 0.5)", &replan_tol,
+            0.0),
+       flag("--list-templates", "print registered mission templates and exit",
+            &list_templates),
+       flag("--quick", "smoke mode: contested_lot only, 2 missions", &quick)});
+  if (const auto code = cli.parse(argc, argv)) return *code;
+  const auto& registry = mission::MissionRegistry::instance();
+  if (list_templates) {
+    for (const std::string& name : registry.names())
+      std::printf("%-16s %s\n", name.c_str(),
+                  registry.at(name).description.c_str());
+    return 0;
   }
 
-  std::vector<std::string> templates = split_csv(templates_csv);
+  std::vector<std::string> templates = bench::split_csv(templates_csv);
   if (templates.empty()) {
     templates = quick ? std::vector<std::string>{"contested_lot"}
-                      : mission::MissionRegistry::instance().names();
+                      : registry.names();
   }
   if (quick) missions = std::min(missions, 2);
-  for (const std::string& t : templates) {
-    if (mission::MissionRegistry::instance().find(t) == nullptr) {
-      std::fprintf(stderr, "bench_mission: unknown template \"%s\"\n",
-                   t.c_str());
-      return usage(argv[0]);
-    }
-  }
-  const std::vector<std::string> known_methods =
-      core::ControllerRegistry::instance().keys();
-  if (std::find(known_methods.begin(), known_methods.end(), method) ==
-      known_methods.end()) {
-    std::fprintf(stderr, "bench_mission: unknown method \"%s\"\n",
-                 method.c_str());
-    return usage(argv[0]);
-  }
+  for (const std::string& t : templates)
+    if (registry.find(t) == nullptr)
+      return cli.usage_error("unknown template \"" + t + "\"");
+  if (core::ControllerRegistry::instance().find(method) == nullptr)
+    return cli.usage_error("unknown method \"" + method + "\"");
 
   // The wide pass deliberately ignores hardware concurrency: the gate is
   // "16 workers and 1 worker agree bit-for-bit", and a 16-worker pool on a
@@ -327,53 +257,19 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   sim::RunReport report;
-  report.meta.suite = "mission";
-  report.meta.git_describe = sim::build_git_describe();
-  report.meta.threads = wide_threads;
-  report.meta.episodes_per_cell = missions;
-  report.meta.base_seed = seed;
   sim::EvalConfig eval_config;
   eval_config.episodes = missions;
   eval_config.base_seed = seed;
-  report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
+  bench::stamp_meta(report, "mission", wide_threads, eval_config);
   report.tables.push_back(stats);
-
-  if (!report_path.empty()) {
-    std::string error;
-    if (!report.save(report_path, &error)) {
-      std::fprintf(stderr, "bench_mission: %s\n", error.c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "[mission] report written to %s\n",
-                 report_path.c_str());
-  }
-
-  bool baseline_ok = true;
-  if (!baseline_path.empty()) {
-    sim::RunReport baseline;
-    std::string error;
-    if (!sim::RunReport::load(baseline_path, &baseline, &error)) {
-      std::fprintf(stderr, "bench_mission: cannot load baseline: %s\n",
-                   error.c_str());
-      return 3;
-    }
-    sim::BaselineTolerance tolerance;
-    tolerance.gates = {
-        {"mission", "success_ratio", sim::ColumnGate::Kind::kMaxDrop,
-         success_tol},
-        {"mission", "replans_per_mission", sim::ColumnGate::Kind::kMaxAbsDelta,
-         replan_tol}};
-    const sim::BaselineVerdict verdict =
-        sim::compare_to_baseline(report, baseline, tolerance);
-    std::printf("\n%s\n", verdict.summary().c_str());
-    baseline_ok = verdict.ok;
-  }
-
-  if (!deterministic) {
+  report_options.tolerance.gates = {
+      {"mission", "success_ratio", sim::ColumnGate::Kind::kMaxDrop,
+       success_tol},
+      {"mission", "replans_per_mission", sim::ColumnGate::Kind::kMaxAbsDelta,
+       replan_tol}};
+  if (!deterministic)
     std::fprintf(stderr,
                  "bench_mission: FAIL — results differ across thread counts\n");
-    return 1;
-  }
-  if (!quick_gate_ok || !baseline_ok) return 1;
-  return 0;
+  return bench::finish("mission", report, report_options,
+                       deterministic && quick_gate_ok);
 }

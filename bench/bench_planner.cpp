@@ -18,18 +18,8 @@
 // (generator, density, planner); `speedup` is the legacy mean plan time
 // over the production planner's on the cell.
 //
-// Usage:
-//   bench_planner [options]
-//     --plans N             scenarios per (family, density) cell (default 10)
-//     --reps K              timing repetitions per plan; the per-plan time
-//                           is the minimum of K runs (default 3) — the
-//                           planner is deterministic, so spread across reps
-//                           is scheduler noise, not work
-//     --families LIST       generator families to run (default: all five)
-//     --densities LIST      crowded_lot clutter multipliers (default 1,4)
-//     --frame-deadline-ms X budgeted-pass deadline (default 50; 0 = skip)
-//     --report PATH         write the RunReport JSON artifact
-//     --quick               smoke mode: 3 plans, no budgeted pass
+// Usage: bench_planner [options]; the flag table in main() documents every
+// flag, and a bad flag prints the usage generated from it.
 //
 // Exit codes: 0 ok, 1 success-parity failure, 2 usage error, 3 I/O error.
 
@@ -40,9 +30,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "legacy_planner.hpp"
 #include "co/hybrid_astar.hpp"
+#include "driver.hpp"
+#include "legacy_planner.hpp"
 #include "mathkit/rng.hpp"
 #include "mathkit/table.hpp"
 #include "sim/evaluator.hpp"
@@ -52,18 +42,6 @@
 #include "world/scenario.hpp"
 
 namespace {
-
-using icoil::bench::parse_double_arg;
-using icoil::bench::parse_int_arg;
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--plans N] [--reps K] [--families LIST] "
-               "[--densities LIST] [--frame-deadline-ms X] [--report PATH] "
-               "[--per-plan] [--quick]\n",
-               argv0);
-  return 2;
-}
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -112,11 +90,51 @@ struct PlannerResult {
 int g_reps = 3;           ///< --reps: timing repetitions per plan
 bool g_per_plan = false;  ///< --per-plan: dump per-scenario lines to stderr
 
+/// Times `plan(problem, &stats)` on every problem and folds the counters
+/// of each problem's last run into a row. The planners are deterministic,
+/// so every rep does identical work: the per-plan time is the minimum, the
+/// run least perturbed by the scheduler.
+template <class Stats, class Plan>
+PlannerResult time_plans(const std::vector<Problem>& problems,
+                         const char* planner, const Plan& plan) {
+  PlannerResult out;
+  out.row.planner = planner;
+  double total_ms = 0.0, total_exp = 0.0, total_shots = 0.0, total_cost = 0.0;
+  for (const Problem& p : problems) {
+    Stats stats;
+    bool solved = false;
+    double ms = 0.0;
+    for (int rep = 0; rep < g_reps; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      solved = plan(p, &stats);
+      const double rep_ms = ms_since(t0);
+      ms = rep == 0 ? rep_ms : std::min(ms, rep_ms);
+    }
+    if (g_per_plan)
+      std::fprintf(stderr, "[plan] %-9s #%zu %s %.2f ms exp %d shots %d\n",
+                   planner, out.solved.size(), solved ? "ok  " : "FAIL", ms,
+                   stats.expansions, stats.rs_shot_attempts);
+    total_ms += ms;
+    out.row.plan_ms_max = std::max(out.row.plan_ms_max, ms);
+    total_exp += stats.expansions;
+    total_shots += stats.rs_shot_attempts;
+    if (solved) total_cost += stats.solution_cost;
+    out.solved.push_back(solved);
+    if (solved) ++out.row.solved;
+    ++out.row.plans;
+  }
+  const int n = out.row.plans;
+  out.row.plan_ms_mean = n > 0 ? total_ms / n : 0.0;
+  out.row.expansions_mean = n > 0 ? total_exp / n : 0.0;
+  out.row.rs_shots_mean = n > 0 ? total_shots / n : 0.0;
+  out.row.path_cost_mean = out.row.solved > 0 ? total_cost / out.row.solved : 0.0;
+  return out;
+}
+
 /// The production planner at its defaults, as co::CoPlanner builds it.
 PlannerResult run_hybrid_astar(const std::vector<Problem>& problems,
                                double deadline_ms) {
   using namespace icoil;
-  PlannerResult out;
   const co::HybridAStar astar(co::HybridAStarConfig{},
                               vehicle::VehicleParams{});
 
@@ -127,58 +145,24 @@ PlannerResult run_hybrid_astar(const std::vector<Problem>& problems,
   for (const Problem& w : problems)
     (void)astar.plan(w.start, w.goal, w.obstacles, w.bounds);
 
-  double total_ms = 0.0, max_ms = 0.0;
-  double total_exp = 0.0, total_shots = 0.0, total_cost = 0.0;
-  for (const Problem& p : problems) {
-    co::PlanStats stats;
-    bool solved = false;
-    double ms = 0.0;
-    // The planner is deterministic, so every rep does identical work: the
-    // minimum is the run least perturbed by the scheduler.
-    for (int rep = 0; rep < g_reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto path = astar.plan(p.start, p.goal, p.obstacles, p.bounds,
-                                   nullptr, &stats);
-      const double rep_ms = ms_since(t0);
-      ms = rep == 0 ? rep_ms : std::min(ms, rep_ms);
-      solved = path.has_value();
-    }
-    if (g_per_plan)
-      std::fprintf(stderr, "[plan] %-9s #%zu %s %.2f ms exp %d shots %d\n",
-                   "hybrid-astar", out.solved.size(),
-                   solved ? "ok  " : "FAIL", ms, stats.expansions,
-                   stats.rs_shot_attempts);
-    total_ms += ms;
-    max_ms = std::max(max_ms, ms);
-    total_exp += stats.expansions;
-    total_shots += stats.rs_shot_attempts;
-    if (solved) total_cost += stats.solution_cost;
-    out.solved.push_back(solved);
-    if (solved) ++out.row.solved;
-    ++out.row.plans;
-  }
+  PlannerResult out = time_plans<co::PlanStats>(
+      problems, "hybrid-astar", [&](const Problem& p, co::PlanStats* stats) {
+        return astar.plan(p.start, p.goal, p.obstacles, p.bounds, nullptr, stats)
+            .has_value();
+      });
 
   // Budgeted pass: same problems under a per-frame deadline; count plans
   // that tripped it (returned early without a path).
   if (deadline_ms > 0.0) {
     out.row.deadline_ms = deadline_ms;
     math::Rng rng(42);
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      const Problem& p = problems[i];
+    for (const Problem& p : problems) {
       core::FrameContext frame(rng, nullptr, deadline_ms);
       const auto path =
           astar.plan(p.start, p.goal, p.obstacles, p.bounds, &frame);
       if (!path.has_value() && frame.deadline_hit()) ++out.row.deadline_hits;
     }
   }
-
-  const int n = out.row.plans;
-  out.row.planner = "hybrid-astar";
-  out.row.plan_ms_mean = n > 0 ? total_ms / n : 0.0;
-  out.row.plan_ms_max = max_ms;
-  out.row.expansions_mean = n > 0 ? total_exp / n : 0.0;
-  out.row.rs_shots_mean = n > 0 ? total_shots / n : 0.0;
-  out.row.path_cost_mean = out.row.solved > 0 ? total_cost / out.row.solved : 0.0;
   return out;
 }
 
@@ -186,64 +170,26 @@ PlannerResult run_hybrid_astar(const std::vector<Problem>& problems,
 /// No budgeted pass — the legacy loop predates stats/deadline plumbing and
 /// is kept byte-for-byte faithful instead.
 PlannerResult run_legacy(const std::vector<Problem>& problems) {
-  using namespace icoil;
-  PlannerResult out;
-  const co::HybridAStarConfig config;  // planner defaults
-  const vehicle::VehicleParams params;
-
-  double total_ms = 0.0, max_ms = 0.0;
-  double total_exp = 0.0, total_shots = 0.0, total_cost = 0.0;
-  for (const Problem& p : problems) {
-    bench::LegacyStats stats;
-    bool solved = false;
-    double ms = 0.0;
-    for (int rep = 0; rep < g_reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      solved = bench::legacy_plan(config, params, p.start, p.goal, p.obstacles,
-                                  p.bounds, &stats);
-      const double rep_ms = ms_since(t0);
-      ms = rep == 0 ? rep_ms : std::min(ms, rep_ms);
-    }
-    if (g_per_plan)
-      std::fprintf(stderr, "[plan] %-9s #%zu %s %.2f ms exp %d shots %d\n",
-                   "legacy", out.solved.size(), solved ? "ok  " : "FAIL", ms,
-                   stats.expansions, stats.rs_shot_attempts);
-    total_ms += ms;
-    max_ms = std::max(max_ms, ms);
-    total_exp += stats.expansions;
-    total_shots += stats.rs_shot_attempts;
-    if (solved) total_cost += stats.solution_cost;
-    out.solved.push_back(solved);
-    if (solved) ++out.row.solved;
-    ++out.row.plans;
-  }
-
-  const int n = out.row.plans;
-  out.row.planner = "legacy";
-  out.row.plan_ms_mean = n > 0 ? total_ms / n : 0.0;
-  out.row.plan_ms_max = max_ms;
-  out.row.expansions_mean = n > 0 ? total_exp / n : 0.0;
-  out.row.rs_shots_mean = n > 0 ? total_shots / n : 0.0;
-  out.row.path_cost_mean = out.row.solved > 0 ? total_cost / out.row.solved : 0.0;
-  return out;
+  const icoil::co::HybridAStarConfig config;  // planner defaults
+  const icoil::vehicle::VehicleParams params;
+  return time_plans<icoil::bench::LegacyStats>(
+      problems, "legacy",
+      [&](const Problem& p, icoil::bench::LegacyStats* stats) {
+        return icoil::bench::legacy_plan(config, params, p.start, p.goal,
+                                         p.obstacles, p.bounds, stats);
+      });
 }
 
-std::vector<double> parse_densities(const std::string& csv) {
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) {
-      double v = 0.0;
-      if (!parse_double_arg(item.c_str(), &v) || v <= 0.0) return {};
-      out.push_back(v);
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+/// "1,4" -> {1, 4}; every item a positive finite number.
+bool parse_densities(const char* text, std::vector<double>* out) {
+  out->clear();
+  for (const std::string& item : icoil::bench::split_csv(text)) {
+    double value = 0.0;
+    if (!icoil::bench::parse_number(item.c_str(), &value) || value <= 0.0)
+      return false;
+    out->push_back(value);
   }
-  return out;
+  return !out->empty();
 }
 
 }  // namespace
@@ -253,91 +199,53 @@ int main(int argc, char** argv) {
 
   int plans = 10;
   double deadline_ms = 50.0;
-  std::string densities_csv = "1,4";
-  std::string families_csv =
-      "canonical,perpendicular,parallel_street,crowded_lot,dynamic_gauntlet";
-  std::string report_path;
+  std::vector<double> densities = {1.0, 4.0};
+  std::vector<std::string> families = {"canonical", "perpendicular",
+                                       "parallel_street", "crowded_lot",
+                                       "dynamic_gauntlet"};
+  bench::ReportOptions report_options;
   bool quick = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--plans") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &plans) || plans <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--reps") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &g_reps) || g_reps <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--densities") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      densities_csv = v;
-    } else if (arg == "--families") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      families_csv = v;
-    } else if (arg == "--frame-deadline-ms") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &deadline_ms) ||
-          deadline_ms < 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--report") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      report_path = v;
-    } else if (arg == "--per-plan") {
-      g_per_plan = true;
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "bench_planner: unknown argument \"%s\"\n",
-                   arg.c_str());
-      return usage(argv[0]);
-    }
-  }
+  using bench::flag;
+  bench::Cli cli(
+      "bench_planner", {},
+      {flag("--plans", "N",
+            "scenarios per (family, density) cell (default 10)", &plans, 1),
+       flag("--reps", "K",
+            "timing repetitions per plan; the per-plan time is the minimum "
+            "(default 3)",
+            &g_reps, 1),
+       {"--families", "LIST", "generator families (default canonical, perpendicular, "
+        "parallel_street, crowded_lot, dynamic_gauntlet)",
+        [&](const char* v) {
+          families = bench::split_csv(v);
+          return !families.empty();
+        }},
+       {"--densities", "LIST",
+        "crowded_lot clutter multipliers (default 1,4)",
+        [&](const char* v) { return parse_densities(v, &densities); }},
+       flag("--frame-deadline-ms", "X",
+            "budgeted-pass deadline (default 50; 0 = skip the pass)",
+            &deadline_ms, 0.0),
+       flag("--report", "PATH", "write the RunReport JSON artifact",
+            &report_options.path),
+       flag("--per-plan", "print one line per plan to stderr", &g_per_plan),
+       flag("--quick", "smoke mode: 3 plans, 1 rep, no budgeted pass",
+            &quick)});
+  if (const auto code = cli.parse(argc, argv)) return *code;
   if (quick) {
     plans = std::min(plans, 3);
     g_reps = 1;
     deadline_ms = 0.0;
   }
 
-  const std::vector<double> densities = parse_densities(densities_csv);
-  if (densities.empty()) {
-    std::fprintf(stderr, "bench_planner: bad --densities \"%s\"\n",
-                 densities_csv.c_str());
-    return usage(argv[0]);
-  }
-
   constexpr std::uint64_t kScenarioSeed = 300;
-  std::vector<std::string> families;
-  {
-    std::size_t start = 0;
-    while (start <= families_csv.size()) {
-      const std::size_t comma = families_csv.find(',', start);
-      const std::string item = families_csv.substr(
-          start,
-          comma == std::string::npos ? std::string::npos : comma - start);
-      if (!item.empty()) families.push_back(item);
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    if (families.empty()) return usage(argv[0]);
-  }
   // Reject unknown families before any planning: make_scenario would throw
   // on the first one mid-run.
-  for (const std::string& family : families) {
-    if (world::GeneratorRegistry::instance().find(family) == nullptr) {
-      std::fprintf(stderr,
-                   "bench_planner: unknown family \"%s\" — bench_suite "
-                   "--list-generators prints the registered names\n",
-                   family.c_str());
-      return usage(argv[0]);
-    }
-  }
+  for (const std::string& family : families)
+    if (world::GeneratorRegistry::instance().find(family) == nullptr)
+      return cli.usage_error("unknown family \"" + family +
+                             "\" — bench_suite --list-generators prints the "
+                             "registered names");
 
   sim::MetricsTable stats(
       "planner", {"generator", "density", "planner"},
@@ -418,32 +326,15 @@ int main(int argc, char** argv) {
                   : "off");
   table.print(std::cout);
 
-  if (!report_path.empty()) {
-    sim::RunReport report;
-    report.meta.suite = "planner";
-    report.meta.git_describe = sim::build_git_describe();
-    report.meta.threads = 1;
-    report.meta.episodes_per_cell = plans;
-    report.meta.base_seed = kScenarioSeed;
-    sim::EvalConfig eval_config;
-    eval_config.episodes = plans;
-    eval_config.base_seed = kScenarioSeed;
-    report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
-    report.tables.push_back(stats);
-    std::string error;
-    if (!report.save(report_path, &error)) {
-      std::fprintf(stderr, "bench_planner: %s\n", error.c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "[planner] report written to %s\n",
-                 report_path.c_str());
-  }
-
-  if (!parity_ok) {
+  sim::RunReport report;
+  sim::EvalConfig eval_config;
+  eval_config.episodes = plans;
+  eval_config.base_seed = kScenarioSeed;
+  bench::stamp_meta(report, "planner", 1, eval_config);
+  report.tables.push_back(stats);
+  if (!parity_ok)
     std::fprintf(stderr,
                  "bench_planner: FAIL — hybrid-astar lost a scenario the "
                  "legacy planner solves\n");
-    return 1;
-  }
-  return 0;
+  return bench::finish("planner", report, report_options, parity_ok);
 }

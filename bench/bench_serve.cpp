@@ -13,52 +13,29 @@
 // `serve_latency` tables (plus `serve_tuning` / `serve_batching` when the
 // tuner or the batched service ran), keyed by method and offered load.
 //
+// One discarded single-session run precedes the first level, so the
+// process's cold first frame is not charged to it.
+//
 // Ctrl-C is clean: SIGINT trips a shared core::CancelToken that every
 // session polls, episodes end as budget_exceeded, and the partial report —
 // containing the load levels completed so far — is written (meta.aborted)
 // before exit 130.
 //
-// Usage:
-//   bench_serve [options]
-//     --sessions N[,N...]    offered load level(s) (default 8)
-//     --method KEY           controller registry key (default co)
-//     --frame-deadline-ms X  static per-frame budget (default: none)
-//     --capacity N           max active sessions (default 0 = unlimited)
-//     --queue-limit N        arrivals that may wait for a slot before
-//                            shedding starts (default -1 = unbounded)
-//     --warmup-frames N      leading frames per session excluded from the
-//                            latency percentiles (default 1)
-//     --autotune-deadline    tune each session's frame deadline from its
-//                            rolling p99 frame latency
-//     --deadline-min-ms X    tuner clamp floor (default 5)
-//     --deadline-max-ms X    tuner clamp ceiling (default 200)
-//     --deadline-headroom X  tuner target = X * rolling p99 (default 1.5)
-//     --time-limit S         per-episode simulated time limit (default 60)
-//     --difficulty LEVEL     easy|normal|hard (default normal)
-//     --threads N            pool workers (0 = hardware, capped at 16)
-//     --seed S               base seed; session i uses seed+i (default 1000)
-//     --report PATH          write the RunReport JSON artifact
-//     --quick                smoke mode: easy 6 s episodes (4 sessions
-//                            unless --sessions is given)
-//     --batch-inference      batch IL forwards across sessions per tick
-//                            (methods with a policy only; default method
-//                            becomes il when none is given)
-//     --max-batch N          cap one batched forward (default 32)
+// Usage: bench_serve [options]; the flag table in main() documents every
+// flag, and a bad flag prints the usage generated from it.
 //
 // Exit codes: 0 ok, 2 usage error, 3 I/O error, 130 aborted by SIGINT.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "core/controller_registry.hpp"
+#include "driver.hpp"
 #include "mathkit/gemm.hpp"
 #include "mathkit/table.hpp"
 #include "serve/frontend.hpp"
@@ -71,48 +48,37 @@ using namespace icoil;
 struct ServeOptions {
   std::vector<int> session_levels = {8};
   serve::FrontendConfig frontend;  ///< shared knobs; sessions set per level
-  std::string report_path;
+  bench::ReportOptions report;
   bool quick = false;
 };
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--sessions N[,N...]] [--method KEY] "
-               "[--frame-deadline-ms X] [--capacity N] [--queue-limit N] "
-               "[--warmup-frames N] [--autotune-deadline] "
-               "[--deadline-min-ms X] [--deadline-max-ms X] "
-               "[--deadline-headroom X] [--time-limit S] "
-               "[--difficulty easy|normal|hard] [--threads N] [--seed S] "
-               "[--report PATH] [--quick] [--batch-inference] [--max-batch N]\n",
-               argv0);
-  return 2;
-}
 
 /// "1,10,100" -> {1, 10, 100}, sorted ascending and deduplicated (the knee
 /// heuristic reads the rows as an offered-load-ascending curve).
 bool parse_session_levels(const char* text, std::vector<int>* out) {
   out->clear();
-  std::string token;
-  for (const char* p = text;; ++p) {
-    if (*p != ',' && *p != '\0') {
-      token.push_back(*p);
-      continue;
-    }
+  for (const std::string& item : bench::split_csv(text)) {
     int value = 0;
-    if (token.empty() || !bench::parse_int_arg(token.c_str(), &value) ||
-        value < 1)
-      return false;
+    if (!bench::parse_number(item.c_str(), &value) || value < 1) return false;
     out->push_back(value);
-    token.clear();
-    if (*p == '\0') break;
   }
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
   return !out->empty();
 }
 
-void print_single_run(const serve::FrontendResult& r) {
-  const serve::ServeStats& stats = r.stats;
+bool parse_difficulty(const char* text, world::Difficulty* out) {
+  for (const auto level : {world::Difficulty::kEasy, world::Difficulty::kNormal,
+                           world::Difficulty::kHard}) {
+    if (world::to_string(level) == text) {
+      *out = level;
+      return true;
+    }
+  }
+  return false;
+}
+
+void print_single_run(const serve::ServeStats& stats,
+                      const sim::Aggregate& aggregate) {
   math::TextTable table({"metric", "value"});
   table.add_row({"sessions offered", std::to_string(stats.offered)});
   table.add_row({"admitted", std::to_string(stats.admitted)});
@@ -146,10 +112,10 @@ void print_single_run(const serve::FrontendResult& r) {
     table.add_row({"forward [ms]", math::format_double(b.forward_seconds * 1e3, 1)});
     table.add_row({"scatter [ms]", math::format_double(b.scatter_seconds * 1e3, 1)});
   }
-  table.add_row({"parked", std::to_string(r.aggregate.successes)});
-  table.add_row({"collided", std::to_string(r.aggregate.collisions)});
-  table.add_row({"timed out", std::to_string(r.aggregate.timeouts)});
-  table.add_row({"over budget", std::to_string(r.aggregate.budget_exceeded)});
+  table.add_row({"parked", std::to_string(aggregate.successes)});
+  table.add_row({"collided", std::to_string(aggregate.collisions)});
+  table.add_row({"timed out", std::to_string(aggregate.timeouts)});
+  table.add_row({"over budget", std::to_string(aggregate.budget_exceeded)});
   table.print(std::cout);
 }
 
@@ -249,13 +215,18 @@ int run_serve(const ServeOptions& opts) {
     base.policy = policy.get();
   }
 
-  // Validate once with the first level plugged in — the remaining checks
-  // (batching, knob ranges) do not depend on the session count.
-  serve::FrontendConfig probe = base;
-  probe.sessions = opts.session_levels.front();
-  std::string error;
-  if (!serve::Frontend::validate(probe, &error)) {
-    std::fprintf(stderr, "bench_serve: %s\n", error.c_str());
+  // Warm-up: one discarded single-session run through the same Frontend
+  // path, so the process's cold first frame (first-touch allocations,
+  // lazily filled Reeds-Shepp table entries) is not charged to the first
+  // timed level. Frontend::run validates its config first, so a bad knob
+  // (or a batched method without a batching session) exits 2 here, before
+  // any level runs; no other config check depends on the session count.
+  try {
+    serve::FrontendConfig warmup = base;
+    warmup.sessions = 1;
+    (void)serve::Frontend(warmup, &bench::sigint_token()).run();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_serve: %s\n", e.what());
     return 2;
   }
 
@@ -281,14 +252,8 @@ int run_serve(const ServeOptions& opts) {
                   .c_str()
             : "");
 
-    serve::Frontend frontend(level_config, &bench::sigint_token());
-    serve::FrontendResult result;
-    try {
-      result = frontend.run();
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "bench_serve: %s\n", e.what());
-      return 2;
-    }
+    const serve::FrontendResult result =
+        serve::Frontend(level_config, &bench::sigint_token()).run();
 
     if (result.aborted) {
       // Partial level: keep only the levels completed so far in the report.
@@ -328,168 +293,95 @@ int run_serve(const ServeOptions& opts) {
   if (sweep) {
     print_sweep(levels, knee_offered);
   } else if (!levels.empty()) {
-    serve::FrontendResult printable;  // re-fold for the table helper
-    printable.stats = runs.back();
-    printable.aggregate = cells.back().aggregate;
-    print_single_run(printable);
+    print_single_run(runs.back(), cells.back().aggregate);
   }
 
   // ---- RunReport artifact ----------------------------------------------
-  if (!opts.report_path.empty()) {
-    sim::EvalConfig eval_config;  // provenance fingerprint only
-    eval_config.episodes =
-        levels.empty() ? opts.session_levels.front() : levels.back().offered;
-    eval_config.base_seed = opts.frontend.base_seed;
-    eval_config.sim.frame_deadline_ms = opts.frontend.frame_deadline_ms;
-
-    sim::RunReport report;
-    report.meta.suite = "serve";
-    report.meta.git_describe = sim::build_git_describe();
-    report.meta.threads = last_workers;
-    report.meta.episodes_per_cell = eval_config.episodes;
-    report.meta.base_seed = opts.frontend.base_seed;
-    report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
-    report.meta.aborted = aborted;
-    add_serve_tables(report, runs, levels);
-    report.add_cells(cells);
-
-    std::string save_error;
-    if (!report.save(opts.report_path, &save_error)) {
-      std::fprintf(stderr, "bench_serve: %s\n", save_error.c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "[serve] %sreport written to %s\n",
-                 aborted ? "partial (aborted) " : "",
-                 opts.report_path.c_str());
-  }
-  return aborted ? 130 : 0;
+  sim::EvalConfig eval_config;  // provenance fingerprint only
+  eval_config.episodes =
+      levels.empty() ? opts.session_levels.front() : levels.back().offered;
+  eval_config.base_seed = opts.frontend.base_seed;
+  eval_config.sim.frame_deadline_ms = opts.frontend.frame_deadline_ms;
+  sim::RunReport report;
+  bench::stamp_meta(report, "serve", last_workers, eval_config);
+  report.meta.aborted = aborted;
+  add_serve_tables(report, runs, levels);
+  report.add_cells(cells);
+  return bench::finish("serve", report, opts.report);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   ServeOptions opts;
-  bool method_given = false;
-  bool sessions_given = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--sessions") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_session_levels(v, &opts.session_levels))
-        return usage(argv[0]);
-      sessions_given = true;
-    } else if (arg == "--method") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.frontend.method = v;
-      method_given = true;
-    } else if (arg == "--frame-deadline-ms") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.frame_deadline_ms) ||
-          opts.frontend.frame_deadline_ms <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--capacity") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_int_arg(v, &opts.frontend.admission.max_active) ||
-          opts.frontend.admission.max_active < 0)
-        return usage(argv[0]);
-    } else if (arg == "--queue-limit") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_int_arg(v, &opts.frontend.admission.queue_limit))
-        return usage(argv[0]);
-    } else if (arg == "--warmup-frames") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_int_arg(v, &opts.frontend.warmup_frames) ||
-          opts.frontend.warmup_frames < 0)
-        return usage(argv[0]);
-    } else if (arg == "--autotune-deadline") {
-      opts.frontend.tuner.enabled = true;
-    } else if (arg == "--deadline-min-ms") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.tuner.min_ms) ||
-          opts.frontend.tuner.min_ms <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--deadline-max-ms") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.tuner.max_ms) ||
-          opts.frontend.tuner.max_ms <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--deadline-headroom") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.tuner.headroom) ||
-          opts.frontend.tuner.headroom <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--time-limit") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.time_limit) ||
-          opts.frontend.time_limit <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--difficulty") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      if (std::strcmp(v, "easy") == 0)
-        opts.frontend.difficulty = world::Difficulty::kEasy;
-      else if (std::strcmp(v, "normal") == 0)
-        opts.frontend.difficulty = world::Difficulty::kNormal;
-      else if (std::strcmp(v, "hard") == 0)
-        opts.frontend.difficulty = world::Difficulty::kHard;
-      else return usage(argv[0]);
-    } else if (arg == "--threads") {
-      const char* v = next_value();
-      if (v == nullptr || !bench::parse_int_arg(v, &opts.frontend.threads) ||
-          opts.frontend.threads < 0)
-        return usage(argv[0]);
-    } else if (arg == "--seed") {
-      const char* v = next_value();
-      char* end = nullptr;
-      if (v == nullptr) return usage(argv[0]);
-      opts.frontend.base_seed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') return usage(argv[0]);
-    } else if (arg == "--report") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.report_path = v;
-    } else if (arg == "--quick") {
-      opts.quick = true;
-    } else if (arg == "--batch-inference") {
-      opts.frontend.batch_inference = true;
-    } else if (arg == "--max-batch") {
-      const char* v = next_value();
-      if (v == nullptr || !bench::parse_int_arg(v, &opts.frontend.max_batch) ||
-          opts.frontend.max_batch < 1)
-        return usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "bench_serve: unknown argument \"%s\"\n",
-                   arg.c_str());
-      return usage(argv[0]);
-    }
-  }
+  serve::FrontendConfig& fe = opts.frontend;
+  using bench::flag;
+  bench::Cli cli(
+      "bench_serve", {},
+      {{"--sessions", "N[,N...]", "offered load level(s) (default 8)",
+        [&](const char* v) {
+          return parse_session_levels(v, &opts.session_levels);
+        }},
+       flag("--method", "KEY", "controller registry key (default co)",
+            &fe.method),
+       flag("--frame-deadline-ms", "X",
+            "static per-frame budget (default: none)", &fe.frame_deadline_ms,
+            bench::kPositive),
+       flag("--capacity", "N", "max active sessions (default 0 = unlimited)",
+            &fe.admission.max_active, 0),
+       flag("--queue-limit", "N",
+            "arrivals that may wait for a slot before shedding starts "
+            "(default -1 = unbounded)",
+            &fe.admission.queue_limit, -1),
+       flag("--warmup-frames", "N",
+            "leading frames per session excluded from the latency "
+            "percentiles (default 1)",
+            &fe.warmup_frames, 0),
+       flag("--autotune-deadline",
+            "tune each session's frame deadline from its rolling p99",
+            &fe.tuner.enabled),
+       flag("--deadline-min-ms", "X", "tuner clamp floor (default 5)",
+            &fe.tuner.min_ms, bench::kPositive),
+       flag("--deadline-max-ms", "X", "tuner clamp ceiling (default 200)",
+            &fe.tuner.max_ms, bench::kPositive),
+       flag("--deadline-headroom", "X",
+            "tuner target = X * rolling p99 (default 1.5)", &fe.tuner.headroom,
+            bench::kPositive),
+       flag("--time-limit", "S",
+            "per-episode simulated time limit (default 60)", &fe.time_limit,
+            bench::kPositive),
+       {"--difficulty", "LEVEL", "easy|normal|hard (default normal)",
+        [&](const char* v) { return parse_difficulty(v, &fe.difficulty); }},
+       flag("--threads", "N", "pool workers (0 = hardware, capped at 16)",
+            &fe.threads, 0),
+       flag("--seed", "S", "base seed; session i uses seed+i (default 1000)",
+            &fe.base_seed, 0),
+       flag("--report", "PATH", "write the RunReport JSON artifact",
+            &opts.report.path),
+       flag("--quick",
+            "smoke mode: easy 6 s episodes (4 sessions unless --sessions)",
+            &opts.quick),
+       flag("--batch-inference",
+            "batch IL forwards across sessions per tick (policy-backed "
+            "methods only; the default method becomes il)",
+            &fe.batch_inference),
+       flag("--max-batch", "N", "cap one batched forward (default 32)",
+            &fe.max_batch, 1)});
+  if (const auto code = cli.parse(argc, argv)) return *code;
 
   if (opts.quick) {
     // Smoke settings: tiny interleaved run that needs no trained policy and
     // finishes in seconds. Explicit flags given alongside --quick still win
     // for method/deadline/sessions, but the episode shape is pinned.
-    if (!sessions_given) opts.session_levels = {4};
-    opts.frontend.difficulty = world::Difficulty::kEasy;
-    opts.frontend.time_limit = 6.0;
+    if (!cli.given("--sessions")) opts.session_levels = {4};
+    fe.difficulty = world::Difficulty::kEasy;
+    fe.time_limit = 6.0;
   }
 
   // Batching only applies to policy-backed methods; when the user asked for
   // it without picking one, serve the IL baseline instead of erroring on
   // the (policy-less) co default.
-  if (opts.frontend.batch_inference && !method_given)
-    opts.frontend.method = "il";
+  if (fe.batch_inference && !cli.given("--method")) fe.method = "il";
 
   bench::install_sigint_handler();
   return run_serve(opts);

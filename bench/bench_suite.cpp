@@ -1,148 +1,547 @@
-// The one bench driver: runs a named evaluation suite (table2 | fig8 | zoo)
-// through sim::Evaluator, prints the aggregate table, and optionally writes
-// a versioned sim::RunReport JSON artifact and/or gates the run against a
-// committed baseline report (nonzero exit on success-rate or park-time
-// regression beyond tolerance). `table2_success` stays as a wrapper only for
-// its --curriculum-compare mode.
+// The one bench driver for the paper's tables and figures. Every subcommand
+// is one row of kSubcommands below:
 //
+//   table2      Table II: parking time and success ratio per task level
+//   fig8        Fig. 8: iCOIL parking time vs starting point and obstacles
+//   zoo         every registered scenario generator family (CO)
+//   curriculum  canonical- vs all-families-trained iCOIL over the zoo cells
+//   ablation    HSA lambda / guard-time sweep on the normal level (sec. V-C)
+//   fig5        IL vs expert (CO) steering over one easy episode
+//   fig6        iCOIL vs IL trajectories on a normal-level scenario
+//   fig7        HSA uncertainty timeline over one iCOIL episode
+//
+// table2, fig8 and zoo evaluate registry methods (--methods) over their
+// cells and take every flag. curriculum and ablation evaluate fixed method
+// rows over their cells and take only --episodes, --threads, --report and
+// --csv. fig5-fig7 trace single episodes and take no flag. Everything but
+// zoo and --quick runs needs a trained IL policy (loaded from the on-disk
+// cache or trained), so a flag a subcommand does not take exits 2 first.
+//
+// Suite runs print one table (cell, method, park time avg/std/max/min,
+// success, IL share of frames, over budget, episodes), optionally save it
+// as CSV, write a sim::RunReport and gate it against a committed baseline.
 // Ctrl-C is clean: SIGINT trips a shared core::CancelToken, the evaluation
 // fan-out drains, and the partial report is still written (meta.aborted)
 // before the process exits 130.
 //
-// Usage:
-//   bench_suite [table2|fig8|zoo] [options]
-//     --episodes N       episodes per cell (default: suite-specific;
-//                        ICOIL_EPISODES honoured)
-//     --methods LIST     comma list of controller registry keys
-//                        (default: suite-specific; see --list-methods)
-//     --list-methods     print the registered method keys and exit 0
-//     --list-generators  print the registered scenario generators and exit 0
-//     --report PATH      write the RunReport JSON artifact
-//     --baseline PATH    load a reference RunReport and exit 1 on regression
-//     --success-tol X    allowed absolute success-ratio drop (default 0.02)
-//     --park-tol X       allowed relative park-time slowdown (default 0.10)
-//     --budget S         per-cell wall-clock budget in seconds
-//     --frame-deadline-ms X  per-frame controller budget in milliseconds
-//     --per-episode      include per-episode records in the report
-//     --threads N        evaluator worker threads (0 = hardware)
-//     --csv PATH         also save the table as CSV
-//     --quick            smoke mode: 2 episodes, CO only (no training);
-//                        default suite: zoo
+// Usage: bench_suite [subcommand] [options] — run with a bad flag for the
+// generated flag list. --quick alone runs zoo.
 //
 // Exit codes: 0 ok, 1 baseline regression, 2 usage error, 3 I/O error,
 // 130 aborted by SIGINT (partial report written).
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <iostream>
+#include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
-#include "suite_runner.hpp"
+#include "core/controller_registry.hpp"
+#include "driver.hpp"
+#include "mathkit/table.hpp"
+#include "sim/curriculum.hpp"
+#include "sim/simulator.hpp"
+#include "world/generators/registry.hpp"
 
 namespace {
 
-using icoil::bench::parse_double_arg;
-using icoil::bench::parse_int_arg;
+using namespace icoil;
+using world::Difficulty;
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [table2|fig8|zoo] [--episodes N] [--methods LIST] "
-               "[--list-methods] [--list-generators] [--report PATH] "
-               "[--baseline PATH] [--success-tol X] [--park-tol X] "
-               "[--budget S] [--frame-deadline-ms X] "
-               "[--per-episode] [--threads N] [--csv PATH] [--quick]\n",
-               argv0);
-  return 2;
+/// One evaluated row: its label in tables and reports, and its factory.
+struct Row {
+  std::string name;
+  core::ControllerFactory factory;
+};
+
+/// A run's rows and the policies their factories point into.
+struct Rows {
+  std::vector<std::unique_ptr<il::IlPolicy>> policies;
+  std::vector<Row> rows;
+};
+
+/// One subcommand. A suite has `cells` and either default registry
+/// `methods` (--methods overrides them) or `fixed_rows`; a traced figure
+/// has `figure` instead.
+struct Subcommand {
+  const char* name;
+  const char* title;
+  sim::ScenarioSuite (*cells)();
+  int episodes;          ///< default episodes per cell (ICOIL_EPISODES wins)
+  const char* methods;   ///< default registry keys (nullptr: fixed rows)
+  Rows (*fixed_rows)();
+  const char* csv;       ///< default CSV path ("" = none)
+  void (*figure)(const Subcommand&, const il::IlPolicy&);
+};
+
+/// The flags a subcommand takes; see the header comment.
+bool takes(const Subcommand& cmd, const std::string& flag) {
+  if (cmd.figure != nullptr) return false;
+  return cmd.fixed_rows == nullptr || flag == "--episodes" ||
+         flag == "--threads" || flag == "--report" || flag == "--csv";
+}
+
+sim::ScenarioSuite level_cells(const std::vector<Difficulty>& levels) {
+  sim::ScenarioSuite suite;
+  for (const Difficulty level : levels) {
+    sim::SuiteCell cell;
+    cell.difficulty = level;
+    cell.label = world::to_string(level);
+    suite.add(cell);
+  }
+  return suite;
+}
+
+sim::ScenarioSuite fig8_cells() {
+  sim::ScenarioSuite suite;
+  for (auto start : {world::StartClass::kClose, world::StartClass::kRemote,
+                     world::StartClass::kRandom}) {
+    for (int k = 1; k <= 5; ++k) {
+      sim::SuiteCell cell;
+      cell.difficulty = Difficulty::kNormal;
+      cell.start_class = start;
+      cell.num_obstacles_override = k;
+      cell.label = world::to_string(start) + "/" + std::to_string(k);
+      suite.add(cell);
+    }
+  }
+  return suite;
+}
+
+sim::ScenarioSuite zoo_cells() {
+  return sim::ScenarioSuite::cross(world::GeneratorRegistry::instance().names(),
+                                   {Difficulty::kEasy, Difficulty::kNormal},
+                                   {world::StartClass::kRandom});
+}
+
+/// The cross-family generalization experiment the paper's canonical-only
+/// table cannot show: the same registry method with two policies from the
+/// fingerprint-keyed store, so both caches coexist.
+Rows curriculum_rows() {
+  sim::PolicyStoreOptions all = sim::default_policy_options();
+  all.expert.curriculum = sim::Curriculum::all_families();
+  Rows out;
+  out.policies.push_back(sim::get_or_train_policy(sim::default_policy_options()));
+  out.policies.push_back(sim::get_or_train_policy(all));
+  core::ControllerBuildArgs args;
+  for (const char* name : {"iCOIL/canonical", "iCOIL/all"}) {
+    args.policy = out.policies[out.rows.size()].get();
+    out.rows.push_back(
+        {name, core::ControllerRegistry::instance().factory("icoil", args)});
+  }
+  return out;
+}
+
+/// Section V-C's HSA design knobs: the switching threshold lambda and the
+/// 20-frame guard time. The registry factory copies the swept config.
+Rows ablation_rows() {
+  Rows out;
+  out.policies.push_back(bench::shared_policy());
+  core::ControllerBuildArgs args;
+  args.policy = out.policies[0].get();
+  for (const double lambda : {0.1, 0.3, 1.0, 3.0, 10.0}) {
+    for (const int guard : {0, 20}) {
+      core::IcoilConfig config;
+      config.hsa.lambda = lambda;
+      config.hsa.guard_frames = guard;
+      args.icoil = &config;
+      out.rows.push_back(
+          {"lambda " + math::format_double(lambda, 1) + " guard " +
+               std::to_string(guard),
+           core::ControllerRegistry::instance().factory("icoil", args)});
+    }
+  }
+  return out;
+}
+
+/// One traced episode of `method` on the `level` scenario drawn from `seed`.
+sim::EpisodeResult traced_episode(const char* method,
+                                  const il::IlPolicy& policy, Difficulty level,
+                                  std::uint64_t seed) {
+  world::ScenarioOptions options;
+  options.difficulty = level;
+  sim::SimConfig config;
+  config.record_trace = true;
+  core::ControllerBuildArgs args;
+  args.policy = &policy;
+  const auto controller =
+      core::ControllerRegistry::instance().build(method, args);
+  return sim::Simulator(config).run(world::make_scenario(options, seed),
+                                    *controller, seed);
+}
+
+/// Fig. 5: our expert is the CO planner. The figure's claim is that IL
+/// tracks the expert but its curve is stepped by action discretization.
+void fig5(const Subcommand& cmd, const il::IlPolicy& policy) {
+  const sim::EpisodeResult expert =
+      traced_episode("co", policy, Difficulty::kEasy, 911);
+  const sim::EpisodeResult il =
+      traced_episode("il", policy, Difficulty::kEasy, 911);
+  std::printf("%s (same scenario, seed 911)\n", cmd.title);
+  std::printf("expert (CO): %s in %.1f s; IL: %s in %.1f s\n\n",
+              sim::to_string(expert.outcome), expert.park_time,
+              sim::to_string(il.outcome), il.park_time);
+
+  math::TextTable table({"stamp", "t [s]", "expert steer", "IL steer"});
+  const std::size_t frames = std::min(expert.trace.size(), il.trace.size());
+  for (std::size_t i = 0; i < frames; i += 10)
+    table.add_row({std::to_string(i), math::format_double(expert.trace[i].t, 1),
+                   math::format_double(expert.trace[i].info.command.steer, 3),
+                   math::format_double(il.trace[i].info.command.steer, 3)});
+  table.print(std::cout);
+  table.save_csv(cmd.csv);
+
+  std::set<long> il_levels, expert_levels;
+  for (std::size_t i = 0; i < frames; ++i) {
+    il_levels.insert(std::lround(il.trace[i].info.command.steer * 1000));
+    expert_levels.insert(std::lround(expert.trace[i].info.command.steer * 1000));
+  }
+  std::printf("\ndistinct steering values: expert %zu, IL %zu "
+              "(IL is stepped: <= %d discretization levels)\n",
+              expert_levels.size(), il_levels.size(),
+              il::ActionDiscretizer::kSteerBins);
+}
+
+void print_trajectory(const sim::EpisodeResult& run, const char* name,
+                      const std::string& csv_path) {
+  std::printf("\n%s trajectory (%s after %.1f s, %d mode switches):\n", name,
+              sim::to_string(run.outcome), run.park_time, run.mode_switches);
+  math::TextTable table({"t [s]", "x [m]", "y [m]", "heading", "v [m/s]", "mode"});
+  const auto add = [&](const sim::FrameRecord& f) {
+    table.add_row({math::format_double(f.t, 1), math::format_double(f.state.x(), 2),
+                   math::format_double(f.state.y(), 2),
+                   math::format_double(f.state.heading(), 2),
+                   math::format_double(f.state.speed, 2),
+                   core::to_string(f.info.mode)});
+  };
+  for (std::size_t i = 0; i < run.trace.size(); i += 25) add(run.trace[i]);
+  if (!run.trace.empty()) add(run.trace.back());
+  table.print(std::cout);
+  table.save_csv(csv_path);
+}
+
+/// Fig. 6: the paper shows a normal-level episode where pure IL fails and
+/// iCOIL parks (red = CO mode, yellow = IL mode). The showcase seed is the
+/// first such one of a fixed candidate list, else the first candidate.
+/// Writes one CSV per method, fig6_<key>_trajectory.csv.
+void fig6(const Subcommand& cmd, const il::IlPolicy& policy) {
+  constexpr Difficulty kLevel = Difficulty::kNormal;
+  std::uint64_t seed = 1200;
+  for (std::uint64_t candidate = 1200; candidate < 1240; ++candidate) {
+    if (!traced_episode("il", policy, kLevel, candidate).success() &&
+        traced_episode("icoil", policy, kLevel, candidate).success()) {
+      seed = candidate;
+      break;
+    }
+  }
+  const sim::EpisodeResult icoil_run =
+      traced_episode("icoil", policy, kLevel, seed);
+  const sim::EpisodeResult il_run = traced_episode("il", policy, kLevel, seed);
+  world::ScenarioOptions options;
+  options.difficulty = kLevel;
+  const geom::Pose2 goal = world::make_scenario(options, seed).map.goal_pose;
+
+  std::printf("%s (seed %llu)\n", cmd.title,
+              static_cast<unsigned long long>(seed));
+  std::printf("goal pose: (%.1f, %.1f, %.2f)\n", goal.x(), goal.y(),
+              goal.heading);
+  print_trajectory(icoil_run, "iCOIL", "fig6_icoil_trajectory.csv");
+  print_trajectory(il_run, "IL", "fig6_il_trajectory.csv");
+  std::printf("\nsummary: iCOIL %s, IL %s (paper: iCOIL parks, IL fails on "
+              "normal level)\n",
+              sim::to_string(icoil_run.outcome), sim::to_string(il_run.outcome));
+}
+
+/// Fig. 7: the HSA scenario-uncertainty series, the CO->IL mode switch and
+/// the commands (reverse engages after the switch; steering settles near
+/// zero once the vehicle enters the bay).
+void fig7(const Subcommand& cmd, const il::IlPolicy& policy) {
+  const sim::EpisodeResult run =
+      traced_episode("icoil", policy, Difficulty::kEasy, 911);
+  std::printf("%s (seed 911): %s in %.1f s, %d mode switches\n\n", cmd.title,
+              sim::to_string(run.outcome), run.park_time, run.mode_switches);
+
+  math::TextTable table({"stamp", "t [s]", "U_i", "C_i (norm)", "U/C", "mode",
+                         "steer", "reverse"});
+  for (std::size_t i = 0; i < run.trace.size(); i += 20) {
+    const sim::FrameRecord& f = run.trace[i];
+    table.add_row({std::to_string(i), math::format_double(f.t, 1),
+                   math::format_double(f.info.uncertainty, 3),
+                   math::format_double(f.info.complexity, 3),
+                   math::format_double(f.info.ratio, 3),
+                   core::to_string(f.info.mode),
+                   math::format_double(f.info.command.steer, 2),
+                   f.info.command.reverse ? "on" : "off"});
+  }
+  table.print(std::cout);
+  table.save_csv(cmd.csv);
+
+  // The paper's qualitative claims on this figure.
+  double early_u = 0.0, late_u = 0.0;
+  std::size_t early_n = 0, late_n = 0;
+  std::size_t first_switch = run.trace.size();
+  for (std::size_t i = 0; i < run.trace.size(); ++i) {
+    const sim::FrameRecord& f = run.trace[i];
+    if (f.t < run.park_time * 0.3) {
+      early_u += f.info.uncertainty;
+      ++early_n;
+    } else if (f.t > run.park_time * 0.7) {
+      late_u += f.info.uncertainty;
+      ++late_n;
+    }
+    if (first_switch == run.trace.size() && i > 0 &&
+        f.info.mode != run.trace[i - 1].info.mode)
+      first_switch = i;
+  }
+  if (early_n > 0) early_u /= static_cast<double>(early_n);
+  if (late_n > 0) late_u /= static_cast<double>(late_n);
+  std::printf("\nmean uncertainty: first 30%% of episode %.3f, last 30%% %.3f "
+              "(paper: drops and stabilizes late)\n",
+              early_u, late_u);
+  if (first_switch < run.trace.size())
+    std::printf("first mode switch at stamp %zu (t = %.1f s), guard time %d "
+                "frames\n",
+                first_switch, run.trace[first_switch].t,
+                core::HsaConfig{}.guard_frames);
+}
+
+// Table II as the paper reports it (avg/max/min park time, success):
+//   easy:   iCOIL 26.02/27.21/24.89 94%   | IL 23.65/25.16/22.52 72%
+//   normal: iCOIL 25.40/26.29/24.01 91%   | IL 25.81/26.54/23.77 36%
+//   hard:   iCOIL 25.72/26.70/24.58 92%   | IL 24.12/26.44/23.31 33%
+// The pure-CO row is a reference, not in the paper's table.
+const Subcommand kSubcommands[] = {
+    {"table2", "Table II — parking time and success ratio per task level",
+     [] {
+       return level_cells(
+           {Difficulty::kEasy, Difficulty::kNormal, Difficulty::kHard});
+     },
+     50, "icoil,il,co", nullptr, "table2_success.csv", nullptr},
+    {"fig8",
+     "Fig. 8 — iCOIL parking time vs starting point and obstacle count",
+     fig8_cells, 15, "icoil", nullptr, "fig8_sensitivity.csv", nullptr},
+    {"zoo", "Scenario zoo — every registered generator family", zoo_cells, 4,
+     "co", nullptr, "", nullptr},
+    {"curriculum",
+     "Canonical-trained vs curriculum-trained iCOIL over the generator suite",
+     zoo_cells, 30, nullptr, curriculum_rows, "table2_curriculum.csv",
+     nullptr},
+    {"ablation",
+     "HSA ablation — lambda / guard-time sweep on the normal level",
+     [] { return level_cells({Difficulty::kNormal}); }, 15, nullptr,
+     ablation_rows, "ablation_hsa.csv", nullptr},
+    {"fig5", "Fig. 5 — steering time series", nullptr, 0, nullptr, nullptr,
+     "fig5_steering.csv", fig5},
+    {"fig6", "Fig. 6 — iCOIL vs IL on a normal-level scenario", nullptr, 0,
+     nullptr, nullptr, "", fig6},
+    {"fig7", "Fig. 7 — HSA timeline over one iCOIL episode", nullptr, 0,
+     nullptr, nullptr, "fig7_hsa_timeline.csv", fig7},
+};
+
+struct SuiteOptions {
+  int episodes = 0;           ///< 0 = the subcommand's default
+  std::string methods;        ///< "" = the subcommand's default
+  std::string csv_path;       ///< "" = the subcommand's default
+  bool per_episode = false;   ///< include per-episode records in the report
+  bool quick = false;         ///< smoke mode: 2 episodes, CO only
+  int threads = 0;            ///< EvalConfig::num_threads (0 = hardware)
+  double wall_budget = 0.0;   ///< per-cell wall-clock budget [s]; 0 = off
+  double frame_deadline_ms = 0.0;  ///< per-frame controller budget; 0 = off
+  bench::ReportOptions report;
+};
+
+/// Resolves registry keys to rows. The trained policy loads (or trains)
+/// once, here on the main thread, and only when a policy-backed method
+/// asks for it: the evaluator calls factories concurrently from its pool
+/// workers, so a lazy first use inside a factory would race.
+bool method_rows(const std::string& keys, Rows* out) {
+  const auto& registry = core::ControllerRegistry::instance();
+  for (const std::string& key : bench::split_csv(keys)) {
+    const core::ControllerSpec* spec = registry.find(key);
+    if (spec == nullptr) {
+      std::fprintf(stderr,
+                   "bench_suite: unknown method \"%s\" — run --list-methods "
+                   "for the registered keys\n",
+                   key.c_str());
+      return false;
+    }
+    core::ControllerBuildArgs args;
+    if (spec->needs_policy) {
+      if (out->policies.empty()) out->policies.push_back(bench::shared_policy());
+      args.policy = out->policies.front().get();
+    }
+    out->rows.push_back({spec->display_name, registry.factory(key, args)});
+  }
+  return true;
+}
+
+/// Runs one suite subcommand end to end; returns the process exit code.
+int run_suite_command(const Subcommand& cmd, SuiteOptions opts) {
+  if (opts.episodes <= 0)
+    opts.episodes =
+        opts.quick ? 2 : sim::env_int_or("ICOIL_EPISODES", cmd.episodes);
+  if (opts.csv_path.empty() && !opts.quick) opts.csv_path = cmd.csv;
+  if (opts.methods.empty() && cmd.methods != nullptr)
+    opts.methods = opts.quick ? "co" : cmd.methods;
+
+  Rows rows;
+  if (cmd.fixed_rows != nullptr)
+    rows = cmd.fixed_rows();
+  else if (!method_rows(opts.methods, &rows))
+    return 2;
+
+  sim::ScenarioSuite suite = cmd.cells();
+  if (opts.wall_budget > 0.0)
+    for (sim::SuiteCell& cell : suite.cells) cell.wall_budget = opts.wall_budget;
+
+  const core::CancelToken& abort = bench::sigint_token();
+  sim::EvalConfig eval_config;
+  eval_config.episodes = opts.episodes;
+  eval_config.num_threads = opts.threads;
+  eval_config.abort = &abort;
+  if (opts.frame_deadline_ms > 0.0)
+    eval_config.sim.frame_deadline_ms = opts.frame_deadline_ms;
+  const sim::Evaluator evaluator(eval_config);
+
+  sim::RunReport report;
+  bench::stamp_meta(report, cmd.name,
+                    evaluator.resolved_workers(
+                        opts.episodes * static_cast<int>(suite.cells.size())),
+                    eval_config);
+
+  math::TextTable table({"cell", "method", "avg [s]", "std [s]", "max [s]",
+                         "min [s]", "success", "IL share", "over budget",
+                         "episodes"});
+  for (const Row& row : rows.rows) {
+    if (abort.cancelled()) break;  // drain: later rows never even start
+    const auto detailed = evaluator.evaluate_suite_detailed(
+        row.factory, suite,
+        [&](const sim::SuiteCell& cell, int completed, int total) {
+          std::fprintf(stderr, "[%s] %s / %s done (%d/%d)\n", cmd.name,
+                       cell.display_label().c_str(), row.name.c_str(),
+                       completed, total);
+        });
+    const std::vector<sim::SuiteCellResult> results =
+        sim::aggregate_suite(detailed, row.name);
+    if (opts.per_episode)
+      report.add_cells_detailed(results, detailed);
+    else
+      report.add_cells(results);
+
+    for (const sim::SuiteCellResult& r : results) {
+      const sim::Aggregate& agg = r.aggregate;
+      table.add_row({r.cell.display_label(), row.name,
+                     math::format_double(agg.park_time.mean(), 2),
+                     math::format_double(agg.park_time.stddev(), 2),
+                     math::format_double(agg.park_time.max(), 2),
+                     math::format_double(agg.park_time.min(), 2),
+                     math::format_double(100.0 * agg.success_ratio(), 0) + "%",
+                     math::format_double(100.0 * agg.il_fraction.mean(), 0) + "%",
+                     std::to_string(agg.budget_exceeded),
+                     std::to_string(agg.episodes)});
+    }
+  }
+  report.meta.aborted = abort.cancelled();
+
+  std::printf("\n%s (%d episodes/cell, %d worker thread%s)%s\n\n", cmd.title,
+              opts.episodes, report.meta.threads,
+              report.meta.threads == 1 ? "" : "s",
+              report.meta.aborted ? " — ABORTED, partial results" : "");
+  table.print(std::cout);
+  if (!opts.csv_path.empty()) table.save_csv(opts.csv_path);
+  return bench::finish(cmd.name, report, opts.report);
+}
+
+void print_registered_methods() {
+  const auto& registry = core::ControllerRegistry::instance();
+  std::printf("Registered controller methods (%zu):\n", registry.size());
+  for (const std::string& key : registry.keys()) {
+    const core::ControllerSpec& spec = *registry.find(key);
+    std::printf("  %-12s %-12s %s%s\n", key.c_str(),
+                ("[" + spec.display_name + "]").c_str(),
+                spec.description.c_str(),
+                spec.needs_policy ? " (needs trained policy)" : "");
+  }
+}
+
+void print_registered_generators() {
+  const auto& registry = world::GeneratorRegistry::instance();
+  std::printf("Registered scenario generators (%zu):\n", registry.size());
+  for (const std::string& name : registry.names()) {
+    const world::ScenarioGenerator* gen = registry.find(name);
+    std::printf("  %-18s %s\n", name.c_str(),
+                gen != nullptr ? gen->description().c_str() : "");
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace icoil;
+  SuiteOptions opts;
+  bool list_methods = false, list_generators = false;
+  using bench::flag;
+  std::vector<std::string> names;
+  for (const Subcommand& cmd : kSubcommands) names.push_back(cmd.name);
+  bench::Cli cli(
+      "bench_suite", names,
+      {flag("--episodes", "N",
+            "episodes per cell (default: per subcommand; ICOIL_EPISODES)",
+            &opts.episodes, 1),
+       flag("--methods", "LIST",
+            "comma list of controller registry keys (table2|fig8|zoo)",
+            &opts.methods),
+       flag("--list-methods", "print the registered method keys and exit",
+            &list_methods),
+       flag("--list-generators",
+            "print the registered scenario generators and exit",
+            &list_generators),
+       flag("--report", "PATH", "write the RunReport JSON artifact",
+            &opts.report.path),
+       flag("--baseline", "PATH",
+            "load a reference RunReport and exit 1 on regression",
+            &opts.report.baseline),
+       flag("--success-tol", "X",
+            "allowed absolute success-ratio drop (default 0.02)",
+            &opts.report.tolerance.success_drop, 0.0),
+       flag("--park-tol", "X",
+            "allowed relative park-time slowdown (default 0.10)",
+            &opts.report.tolerance.park_time_slowdown, 0.0),
+       flag("--budget", "S", "per-cell wall-clock budget in seconds",
+            &opts.wall_budget, bench::kPositive),
+       flag("--frame-deadline-ms", "X",
+            "per-frame controller budget in milliseconds",
+            &opts.frame_deadline_ms, bench::kPositive),
+       flag("--per-episode", "include per-episode records in the report",
+            &opts.per_episode),
+       flag("--threads", "N", "evaluator worker threads (0 = hardware)",
+            &opts.threads, 0),
+       flag("--csv", "PATH", "also save the table as CSV", &opts.csv_path),
+       flag("--quick", "smoke mode: 2 episodes, CO only (no training)",
+            &opts.quick)});
+  if (const auto code = cli.parse(argc, argv)) return *code;
+  if (list_methods) print_registered_methods();
+  if (list_generators) print_registered_generators();
+  if (list_methods || list_generators) return 0;
 
-  std::string which;
-  bench::RunSuiteOptions opts;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "table2" || arg == "fig8" || arg == "zoo") {
-      if (!which.empty()) return usage(argv[0]);
-      which = arg;
-    } else if (arg == "--list-methods") {
-      bench::print_registered_methods(stdout);
-      return 0;
-    } else if (arg == "--list-generators") {
-      bench::print_registered_generators(stdout);
-      return 0;
-    } else if (arg == "--episodes") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &opts.episodes) || opts.episodes <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--methods") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.methods = v;
-    } else if (arg == "--report") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.report_path = v;
-    } else if (arg == "--baseline") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.baseline_path = v;
-    } else if (arg == "--csv") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.csv_path = v;
-    } else if (arg == "--success-tol") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &opts.tolerance.success_drop) ||
-          opts.tolerance.success_drop < 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--park-tol") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !parse_double_arg(v, &opts.tolerance.park_time_slowdown) ||
-          opts.tolerance.park_time_slowdown < 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--budget") {
-      // A negative budget is a typo, not "no budget": reject it rather than
-      // silently running without the wall-clock gate.
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &opts.wall_budget) ||
-          opts.wall_budget <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--frame-deadline-ms") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &opts.frame_deadline_ms) ||
-          opts.frame_deadline_ms <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--threads") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &opts.threads) || opts.threads < 0)
-        return usage(argv[0]);
-    } else if (arg == "--per-episode") {
-      opts.per_episode = true;
-    } else if (arg == "--quick") {
-      opts.quick = true;
-    } else {
-      std::fprintf(stderr, "bench_suite: unknown argument \"%s\"\n",
-                   arg.c_str());
-      return usage(argv[0]);
-    }
-  }
-
+  std::string which = cli.subcommand();
   if (which.empty()) {
-    if (!opts.quick) return usage(argv[0]);
+    if (!opts.quick) return cli.usage_error("no subcommand given");
     which = "zoo";  // the smoke default: fast, no trained policy
   }
+  const Subcommand* cmd = nullptr;
+  for (const Subcommand& c : kSubcommands)
+    if (which == c.name) cmd = &c;
+  for (const std::string& given : cli.given())
+    if (!takes(*cmd, given))
+      return cli.usage_error(which + " does not take " + given);
 
-  // Ctrl-C trips the shared token; the suite drains and the partial report
-  // is still written instead of the process dying mid-write.
-  opts.abort = &bench::sigint_token();
+  if (cmd->figure != nullptr) {
+    cmd->figure(*cmd, *bench::shared_policy());
+    return 0;
+  }
   bench::install_sigint_handler();
-
-  return bench::run_suite_command(which, opts);
+  return run_suite_command(*cmd, opts);
 }

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench_util.hpp"
+#include "driver.hpp"
 #include "core/controller_registry.hpp"
 #include "il/observation.hpp"
 #include "sensing/bev.hpp"
