@@ -1,7 +1,7 @@
 // Micro-benchmarks of the substrates: the ADMM QP solver (sparse, and the
 // dense reference it replaced), Reeds-Shepp word search, hybrid A*, the BEV
-// rasterizer and the conv forward pass. These quantify where a CO frame's
-// milliseconds go.
+// rasterizer, the conv forward pass and one training step. These quantify
+// where a CO frame's milliseconds go.
 
 #include <benchmark/benchmark.h>
 
@@ -18,11 +18,14 @@
 #include "il/batch_inferencer.hpp"
 #include "il/observation.hpp"
 #include "il/policy.hpp"
+#include "il/trainer.hpp"
 #include "mathkit/gemm.hpp"
 #include "mathkit/qp.hpp"
 #include "mathkit/rng.hpp"
 #include "nn/layers.hpp"
+#include "nn/loss.hpp"
 #include "sensing/bev.hpp"
+#include "sim/policy_store.hpp"
 #include "world/scenario.hpp"
 #include "world/world.hpp"
 
@@ -283,21 +286,9 @@ void BM_GemmBlockedF32(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBlockedF32)->Arg(32)->Arg(128)->Arg(512)->Unit(benchmark::kMicrosecond);
 
+// The first conv stage of the default policy: per-item im2col plus one
+// GEMM, the kernel inference and training share.
 void BM_ConvForward(benchmark::State& state) {
-  nn::Conv2D conv(4, 8, 3, 1);
-  math::Rng rng(1);
-  conv.init(rng);
-  nn::Tensor in({1, 4, 48, 48});
-  for (std::size_t i = 0; i < in.size(); ++i)
-    in[i] = static_cast<float>(rng.uniform());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.forward(in, false));
-  }
-}
-BENCHMARK(BM_ConvForward)->Unit(benchmark::kMicrosecond);
-
-// The same conv through the allocation-free GEMM eval path.
-void BM_ConvForwardEval(benchmark::State& state) {
   nn::Conv2D conv(4, 8, 3, 1);
   math::Rng rng(1);
   conv.init(rng);
@@ -306,11 +297,12 @@ void BM_ConvForwardEval(benchmark::State& state) {
     in[i] = static_cast<float>(rng.uniform());
   nn::Tensor out;
   for (auto _ : state) {
-    conv.forward_eval(in, out);
+    conv.forward(in, out, /*training=*/false);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_ConvForwardEval)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ConvForward)->Unit(benchmark::kMicrosecond);
 
 // Whole-policy batched forward via the BatchInferencer service: submit
 // `batch` copies of one observation, run one tick. Reported per-second rate
@@ -354,6 +346,38 @@ void BM_PolicyInferSequential(benchmark::State& state) {
       static_cast<double>(batch), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_PolicyInferSequential)->Arg(1)->Arg(32)->Unit(benchmark::kMicrosecond);
+
+// One gradient shard of a training batch, as Trainer::train runs it on each
+// worker: a training forward through a reused workspace, the cross-entropy
+// and backward, on the default policy at the policy store's batch size.
+void BM_TrainStep(benchmark::State& state) {
+  il::IlPolicy policy{il::IlPolicyConfig(), 42u};
+  const int shard =
+      sim::default_policy_options().train.batch_size / il::Trainer::kShards;
+  world::ScenarioOptions opt;
+  const world::World world{world::make_scenario(opt, 5)};
+  const sense::BevRasterizer raster(policy.bev_spec());
+  const sense::BevImage obs = il::make_observation(
+      raster.render(world, world.scenario().start_pose), 0.3);
+  nn::Tensor batch({shard, obs.channels(), obs.size(), obs.size()});
+  std::vector<int> labels(static_cast<std::size_t>(shard));
+  for (int i = 0; i < shard; ++i) {
+    std::copy(obs.data().begin(), obs.data().end(),
+              batch.data() + static_cast<std::size_t>(i) * obs.num_values());
+    labels[static_cast<std::size_t>(i)] = i % policy.num_classes();
+  }
+  nn::Workspace ws;
+  for (auto _ : state) {
+    policy.network().zero_grad();
+    const nn::Tensor& logits =
+        policy.network().forward(batch, ws, /*training=*/true);
+    const auto ce = nn::CrossEntropyLoss::compute(logits, labels);
+    benchmark::DoNotOptimize(policy.network().backward(ce.grad).data());
+  }
+  state.counters["samples_per_s"] = benchmark::Counter(
+      static_cast<double>(shard), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_TrainStep)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -64,7 +64,8 @@ void BatchInferencer::run_tick() {
     }
 
     const auto t1 = Clock::now();
-    const nn::Tensor& logits = policy_.forward_eval(*batch, ws_);
+    const nn::Tensor& logits =
+        policy_.network().forward(*batch, ws_, /*training=*/false);
     stats_.forward_seconds += seconds_since(t1);
     stats_.batches += 1;
     stats_.max_batch = std::max(stats_.max_batch, bn);

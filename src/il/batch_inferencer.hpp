@@ -36,7 +36,7 @@ struct BatchStats {
 /// run_tick() once — a single forward over the packed (N,C,H,W) batch on
 /// shared weights — and each session reads back result(slot). Results are
 /// bit-identical to calling policy.infer() per observation, which runs the
-/// same eval-path kernels on a batch of one: they never reassociate
+/// same kernels on a batch of one: they never reassociate
 /// per-element sums (mathkit/gemm.hpp) and every layer treats batch rows
 /// independently.
 class BatchInferencer {
@@ -68,7 +68,7 @@ class BatchInferencer {
   nn::Tensor staged_;  ///< (N,C,H,W) staging tensor; N grows with submits
   std::size_t count_ = 0;
   nn::Tensor chunk_;  ///< sub-batch copy when a tick exceeds max_batch
-  nn::EvalWorkspace ws_;
+  nn::Workspace ws_;
   std::vector<Inference> results_;
   BatchStats stats_;
 };

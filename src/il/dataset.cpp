@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <fstream>
 
+#include "il/action.hpp"
+
 namespace icoil::il {
 
 void Dataset::append(const Dataset& other) {
@@ -174,9 +176,26 @@ bool Dataset::load(const std::string& path) {
     }
   }
 
+  // Every record has the same size, so the header must account for the
+  // rest of the file exactly before anything is allocated from it.
+  const std::streamoff body_start = f.tellg();
+  f.seekg(0, std::ios::end);
+  const std::streamoff file_end = f.tellg();
+  f.seekg(body_start);
+  if (!f || body_start < 0 || file_end < body_start) return false;
+  const std::uint64_t remaining =
+      static_cast<std::uint64_t>(file_end - body_start);
+  if (channels > 0xFFFF || size > 0xFFFF) return false;
+  const std::uint64_t pixels = std::uint64_t{channels} * size * size;
+  if (n > 0 && pixels == 0) return false;
+  const std::uint64_t provenance =
+      has_provenance ? sizeof(Sample::family) + sizeof(Sample::difficulty) : 0;
+  const std::uint64_t record = sizeof(std::int32_t) + provenance + pixels;
+  if (remaining % record != 0 || remaining / record != n) return false;
+
   std::vector<Sample> loaded;
   loaded.reserve(n);
-  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(channels) * size * size);
+  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(pixels));
   for (std::uint32_t i = 0; i < n; ++i) {
     std::int32_t label = 0;
     f.read(reinterpret_cast<char*>(&label), sizeof(label));
@@ -187,7 +206,8 @@ bool Dataset::load(const std::string& path) {
     }
     f.read(reinterpret_cast<char*>(buffer.data()),
            static_cast<std::streamsize>(buffer.size()));
-    if (!f) return false;
+    if (!f || label < 0 || label >= ActionDiscretizer::num_classes())
+      return false;
     s.observation = sense::BevImage(static_cast<int>(channels), static_cast<int>(size));
     for (std::size_t j = 0; j < buffer.size(); ++j)
       s.observation.data()[j] = dequantize(buffer[j]);

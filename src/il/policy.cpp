@@ -43,15 +43,6 @@ IlPolicy::IlPolicy(Config config, std::uint64_t init_seed)
   net_.init(rng);
 }
 
-nn::Tensor IlPolicy::forward_batch(const nn::Tensor& batch) {
-  return net_.forward(batch, /*training=*/true);
-}
-
-const nn::Tensor& IlPolicy::forward_eval(const nn::Tensor& batch,
-                                         nn::EvalWorkspace& ws) {
-  return net_.forward_eval(batch, ws);
-}
-
 Inference IlPolicy::inference_from_logits(const float* logits, int m) {
   Inference out;
   out.probs = nn::softmax_row(logits, m);
@@ -69,7 +60,7 @@ Inference IlPolicy::infer(const sense::BevImage& observation) {
   input_.resize({1, observation.channels(), observation.size(),
                  observation.size()});
   std::copy(src.begin(), src.end(), input_.data());
-  const nn::Tensor& logits = net_.forward_eval(input_, ws_);
+  const nn::Tensor& logits = net_.forward(input_, ws_, /*training=*/false);
   return inference_from_logits(logits.data(), logits.dim(1));
 }
 

@@ -47,23 +47,13 @@ class IlPolicy {
   nn::Sequential& network() { return net_; }
 
   /// Forward pass on a single observation (use il::make_observation to
-  /// build one from a BEV image and the ego speed). Runs the eval path —
-  /// Sequential::forward_eval, GEMM kernels — through an input tensor and a
-  /// workspace this policy owns, so steady-state calls allocate only the
-  /// returned probabilities. Bit-identical to network().forward(x, false).
+  /// build one from a BEV image and the ego speed). Runs
+  /// network().forward(x, ws, false) — the GEMM kernels training runs too —
+  /// through an input tensor and a workspace this policy owns, so
+  /// steady-state calls allocate only the returned probabilities.
   /// Not thread-safe: never call it on one policy from two threads (clone()
   /// one per thread instead).
   Inference infer(const sense::BevImage& observation);
-
-  /// Training forward on a prepared batch tensor (N,C,H,W) -> logits (N,M).
-  /// Caches the activations network().backward() needs.
-  nn::Tensor forward_batch(const nn::Tensor& batch);
-
-  /// Inference-only batched forward through a caller-owned workspace: routes
-  /// every layer through its GEMM/no-allocation kernel and returns a
-  /// reference into `ws` (valid until the next call with that workspace).
-  /// Bit-identical to network().forward(batch, false), row for row.
-  const nn::Tensor& forward_eval(const nn::Tensor& batch, nn::EvalWorkspace& ws);
 
   /// The post-processing infer() applies to one row of M logits: softmax,
   /// argmax class, executable command, entropy. Exposed so a batching layer
@@ -81,7 +71,7 @@ class IlPolicy {
   Config config_;
   nn::Sequential net_;
   nn::Tensor input_;       ///< infer()'s (1,C,H,W) input, reused per call
-  nn::EvalWorkspace ws_;   ///< infer()'s layer buffers, reused per call
+  nn::Workspace ws_;       ///< infer()'s layer buffers, reused per call
 };
 
 }  // namespace icoil::il

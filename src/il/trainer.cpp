@@ -23,11 +23,12 @@ double Trainer::evaluate_accuracy(IlPolicy& policy, const Dataset& dataset,
                                   std::size_t batch_size) {
   if (dataset.empty()) return 0.0;
   std::size_t correct_total = 0;
-  nn::EvalWorkspace ws;
+  nn::Workspace ws;
   for (std::size_t begin = 0; begin < dataset.size(); begin += batch_size) {
     const std::size_t count = std::min(batch_size, dataset.size() - begin);
     auto [batch, labels] = dataset.make_batch(begin, count);
-    const nn::Tensor& logits = policy.forward_eval(batch, ws);
+    const nn::Tensor& logits =
+        policy.network().forward(batch, ws, /*training=*/false);
     correct_total += static_cast<std::size_t>(
         nn::CrossEntropyLoss::accuracy(logits, labels) * static_cast<double>(count) +
         0.5);
@@ -52,11 +53,13 @@ TrainReport Trainer::train(IlPolicy& policy, const Dataset& dataset,
       config_.num_threads, static_cast<int>(train_set.size()),
       config_.thread_cap);
 
-  // One clone per gradient shard: each needs its own activation caches.
+  // One clone per gradient shard, each with its own workspace: layers
+  // record activations for backward and forward into per-shard buffers.
   // The shard count is fixed (not the pool width), so the per-shard sums
   // and their reduction order do not depend on the thread count.
   std::vector<std::unique_ptr<IlPolicy>> workers;
   for (int t = 0; t < kShards; ++t) workers.push_back(policy.clone());
+  std::vector<nn::Workspace> workspaces(static_cast<std::size_t>(kShards));
 
   // One persistent pool for the whole training run; wait_idle() is the
   // per-batch barrier (the old code spawned and joined a fresh thread set
@@ -98,7 +101,9 @@ TrainReport Trainer::train(IlPolicy& policy, const Dataset& dataset,
               std::min(shard, begin + batch_n > lo ? begin + batch_n - lo : 0);
           if (n == 0) return;
           auto [batch, labels] = train_set.make_batch(lo, n);
-          const nn::Tensor logits = w.forward_batch(batch);
+          nn::Workspace& ws = workspaces[static_cast<std::size_t>(t)];
+          const nn::Tensor& logits =
+              w.network().forward(batch, ws, /*training=*/true);
           const auto ce = nn::CrossEntropyLoss::compute(logits, labels);
           w.network().backward(ce.grad);
           results[static_cast<std::size_t>(t)].loss_sum =

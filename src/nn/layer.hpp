@@ -17,27 +17,22 @@ struct Param {
       : value(shape), grad(std::move(shape)) {}
 };
 
-/// Base class for network layers. Layers cache whatever they need from
-/// `forward` so the subsequent `backward` can produce input gradients —
+/// Base class for network layers. One forward serves inference and
+/// training: with `training` set a layer also records what the following
+/// `backward` needs (a copy of its input, a mask, argmax indices, a shape) —
 /// the classic define-by-layer backprop contract.
 class Layer {
  public:
   virtual ~Layer() = default;
 
   virtual std::string name() const = 0;
-  /// Compute the layer output for a batch input.
-  virtual Tensor forward(const Tensor& input, bool training) = 0;
+  /// Compute the layer output for a batch input into a caller-owned tensor,
+  /// resized in place, so once shapes stabilize nothing allocates.
+  /// `output` must not alias `input`. Whatever a training forward records
+  /// is a copy: `input` may be overwritten before backward().
+  virtual void forward(const Tensor& input, Tensor& output, bool training) = 0;
   /// Given dL/d(output), accumulate parameter grads and return dL/d(input).
   virtual Tensor backward(const Tensor& grad_output) = 0;
-
-  /// Inference-only forward into a caller-owned tensor: no training caches,
-  /// and once shapes stabilize no allocation either (`output` is resized in
-  /// place). Results must be bit-identical to forward(input, false); layers
-  /// with a faster inference kernel override this, the default just
-  /// delegates. `output` must not alias `input`.
-  virtual void forward_eval(const Tensor& input, Tensor& output) {
-    output = forward(input, false);
-  }
 
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }

@@ -22,61 +22,16 @@ void Conv2D::init(math::Rng& rng) {
   bias_.value.zero();
 }
 
-// The conv kernels are written as shifted-row AXPY loops: for each kernel
-// tap the inner loop is a contiguous multiply-add over a row, which the
-// compiler vectorizes. This is the throughput kernel of the whole IL stack.
-
-Tensor Conv2D::forward(const Tensor& input, bool training) {
+// Per-item im2col + one GEMM per item against the shared weights. Column
+// rows are ordered (ic, ky, kx) — exactly the weight layout — and the output
+// is bias-initialized before an accumulating GEMM, so every output element
+// is its bias plus the taps in ascending (ic, ky, kx) order (see
+// mathkit/gemm.hpp for why the GEMM itself never reassociates).
+void Conv2D::forward(const Tensor& input, Tensor& out, bool training) {
   const int n = input.dim(0), h = input.dim(2), w = input.dim(3);
   const int oh = h + 2 * pad_ - k_ + 1;
   const int ow = w + 2 * pad_ - k_ + 1;
   if (training) cached_input_ = input;
-
-  Tensor out({n, out_c_, oh, ow});
-  const std::size_t in_plane = static_cast<std::size_t>(h) * w;
-  const std::size_t out_plane = static_cast<std::size_t>(oh) * ow;
-
-  for (int b = 0; b < n; ++b) {
-    for (int oc = 0; oc < out_c_; ++oc) {
-      float* out_base = out.data() +
-                        (static_cast<std::size_t>(b) * out_c_ + oc) * out_plane;
-      const float bias = bias_.value[static_cast<std::size_t>(oc)];
-      for (std::size_t i = 0; i < out_plane; ++i) out_base[i] = bias;
-
-      for (int ic = 0; ic < in_c_; ++ic) {
-        const float* in_base =
-            input.data() + (static_cast<std::size_t>(b) * in_c_ + ic) * in_plane;
-        for (int ky = 0; ky < k_; ++ky) {
-          for (int kx = 0; kx < k_; ++kx) {
-            const float wv = weight_.value.at4(oc, ic, ky, kx);
-            if (wv == 0.0f) continue;
-            const int dy = ky - pad_, dx = kx - pad_;
-            const int y_lo = std::max(0, -dy), y_hi = std::min(oh, h - dy);
-            const int x_lo = std::max(0, -dx), x_hi = std::min(ow, w - dx);
-            for (int y = y_lo; y < y_hi; ++y) {
-              float* orow = out_base + static_cast<std::size_t>(y) * ow;
-              const float* irow =
-                  in_base + static_cast<std::size_t>(y + dy) * w + dx;
-              for (int x = x_lo; x < x_hi; ++x) orow[x] += wv * irow[x];
-            }
-          }
-        }
-      }
-    }
-  }
-  return out;
-}
-
-// Inference path: per-item im2col + one GEMM per item against the shared
-// weights. Column rows are ordered (ic, ky, kx) — exactly the weight layout
-// and exactly the tap order of the AXPY forward above — and the output is
-// bias-initialized before an accumulating GEMM, so every output element is
-// the same ascending sum as the AXPY path and the two are bit-identical
-// (see mathkit/gemm.hpp for why the GEMM itself never reassociates).
-void Conv2D::forward_eval(const Tensor& input, Tensor& out) {
-  const int n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const int oh = h + 2 * pad_ - k_ + 1;
-  const int ow = w + 2 * pad_ - k_ + 1;
   out.resize({n, out_c_, oh, ow});
 
   const std::size_t in_plane = static_cast<std::size_t>(h) * w;
@@ -180,28 +135,16 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
 
 // ------------------------------------------------------------------ ReLU
 
-Tensor ReLU::forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  if (training) {
-    mask_ = Tensor(input.shape());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const bool pos = out[i] > 0.0f;
-      mask_[i] = pos ? 1.0f : 0.0f;
-      if (!pos) out[i] = 0.0f;
-    }
-  } else {
-    for (std::size_t i = 0; i < out.size(); ++i)
-      if (out[i] < 0.0f) out[i] = 0.0f;
-  }
-  return out;
-}
-
-void ReLU::forward_eval(const Tensor& input, Tensor& out) {
+void ReLU::forward(const Tensor& input, Tensor& out, bool training) {
   out.resize(input.shape());
   for (std::size_t i = 0; i < input.size(); ++i) {
     const float v = input[i];
     out[i] = v < 0.0f ? 0.0f : v;
   }
+  if (!training) return;
+  mask_.resize(input.shape());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    mask_[i] = input[i] > 0.0f ? 1.0f : 0.0f;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
@@ -212,68 +155,53 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 
 // ------------------------------------------------------------- MaxPool2D
 
-Tensor MaxPool2D::forward(const Tensor& input, bool training) {
-  const int n = input.dim(0), c = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const int oh = h / 2, ow = w / 2;
-  in_shape_ = input.shape();
-  Tensor out({n, c, oh, ow});
-  if (training) argmax_.assign(out.size(), 0);
+namespace {
 
-  std::size_t oi = 0;
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c; ++ch) {
-      for (int y = 0; y < oh; ++y) {
-        for (int x = 0; x < ow; ++x, ++oi) {
-          float best = -1e30f;
-          std::size_t best_idx = 0;
-          for (int dy = 0; dy < 2; ++dy) {
-            for (int dx = 0; dx < 2; ++dx) {
-              const int iy = 2 * y + dy, ix = 2 * x + dx;
-              const float v = input.at4(b, ch, iy, ix);
-              if (v > best) {
-                best = v;
-                best_idx = ((static_cast<std::size_t>(b) * c + ch) * h + iy) * w + ix;
-              }
+// The 2x2 pool over every (batch, channel) plane: a row-major scan of each
+// window in which the first strict maximum wins. With kRecord the winner's
+// flat input index goes to `argmax` for backward; without it the index
+// work compiles away, leaving a plain running max.
+template <bool kRecord>
+void max_pool(const Tensor& input, Tensor& out, std::size_t* argmax) {
+  const int h = input.dim(2), w = input.dim(3), oh = h / 2, ow = w / 2;
+  const std::size_t planes =
+      static_cast<std::size_t>(input.dim(0)) * input.dim(1);
+  for (std::size_t p = 0; p < planes; ++p) {
+    const std::size_t in_offset = p * static_cast<std::size_t>(h) * w;
+    const std::size_t out_offset = p * static_cast<std::size_t>(oh) * ow;
+    const float* in = input.data() + in_offset;
+    float* out_base = out.data() + out_offset;
+    for (int y = 0; y < oh; ++y) {
+      for (int x = 0; x < ow; ++x) {
+        float best = -1e30f;
+        std::size_t best_idx = 0;
+        for (int dy = 0; dy < 2; ++dy) {
+          for (int dx = 0; dx < 2; ++dx) {
+            const std::size_t idx =
+                static_cast<std::size_t>(2 * y + dy) * w + 2 * x + dx;
+            const float v = in[idx];
+            if constexpr (kRecord) {
+              if (v > best) best_idx = idx;
             }
+            if (v > best) best = v;
           }
-          out.at4(b, ch, y, x) = best;
-          if (training) argmax_[oi] = best_idx;
         }
+        const std::size_t o = static_cast<std::size_t>(y) * ow + x;
+        out_base[o] = best;
+        if constexpr (kRecord) argmax[out_offset + o] = in_offset + best_idx;
       }
     }
   }
-  return out;
 }
 
-void MaxPool2D::forward_eval(const Tensor& input, Tensor& out) {
-  const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
-            w = input.dim(3);
-  const int oh = h / 2, ow = w / 2;
-  out.resize({n, c, oh, ow});
-  // Same scan order and tie-breaking as forward(), minus the argmax record.
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c; ++ch) {
-      const float* in_base =
-          input.data() +
-          (static_cast<std::size_t>(b) * c + ch) * static_cast<std::size_t>(h) * w;
-      float* out_base =
-          out.data() +
-          (static_cast<std::size_t>(b) * c + ch) * static_cast<std::size_t>(oh) * ow;
-      for (int y = 0; y < oh; ++y) {
-        for (int x = 0; x < ow; ++x) {
-          float best = -1e30f;
-          for (int dy = 0; dy < 2; ++dy) {
-            for (int dx = 0; dx < 2; ++dx) {
-              const float v =
-                  in_base[static_cast<std::size_t>(2 * y + dy) * w + 2 * x + dx];
-              if (v > best) best = v;
-            }
-          }
-          out_base[static_cast<std::size_t>(y) * ow + x] = best;
-        }
-      }
-    }
-  }
+}  // namespace
+
+void MaxPool2D::forward(const Tensor& input, Tensor& out, bool training) {
+  out.resize({input.dim(0), input.dim(1), input.dim(2) / 2, input.dim(3) / 2});
+  if (!training) return max_pool<false>(input, out, nullptr);
+  in_shape_ = input.shape();
+  argmax_.resize(out.size());
+  max_pool<true>(input, out, argmax_.data());
 }
 
 Tensor MaxPool2D::backward(const Tensor& grad_out) {
@@ -285,15 +213,8 @@ Tensor MaxPool2D::backward(const Tensor& grad_out) {
 
 // --------------------------------------------------------------- Flatten
 
-Tensor Flatten::forward(const Tensor& input, bool) {
-  in_shape_ = input.shape();
-  Tensor out = input;
-  const int n = input.dim(0);
-  out.reshape({n, static_cast<int>(input.size()) / n});
-  return out;
-}
-
-void Flatten::forward_eval(const Tensor& input, Tensor& out) {
+void Flatten::forward(const Tensor& input, Tensor& out, bool training) {
+  if (training) in_shape_ = input.shape();
   const int n = input.dim(0);
   out.resize({n, static_cast<int>(input.size()) / n});
   std::copy(input.data(), input.data() + input.size(), out.data());
@@ -323,33 +244,12 @@ void Dense::init(math::Rng& rng) {
   bias_.value.zero();
 }
 
-// Reference loop: every output starts at its bias and adds the in-feature
-// terms in ascending order. The inner loop runs across output features, so
-// it reads weight rows contiguously without reassociating any sum.
-Tensor Dense::forward(const Tensor& input, bool training) {
+// One GEMM over the whole batch, straight on the stored (in_f, out_f)
+// weights. Each output element's k-sum runs over in_f in ascending order on
+// top of the bias (see mathkit/gemm.hpp).
+void Dense::forward(const Tensor& input, Tensor& out, bool training) {
   const int n = input.dim(0);
   if (training) cached_input_ = input;
-  Tensor out({n, out_f_});
-  const float* w = weight_.value.data();
-  for (int b = 0; b < n; ++b) {
-    const float* x = input.data() + static_cast<std::size_t>(b) * in_f_;
-    float* y = out.data() + static_cast<std::size_t>(b) * out_f_;
-    std::copy(bias_.value.data(), bias_.value.data() + out_f_, y);
-    for (int i = 0; i < in_f_; ++i) {
-      const float xi = x[i];
-      const float* wrow = w + static_cast<std::size_t>(i) * out_f_;
-      for (int o = 0; o < out_f_; ++o) y[o] += wrow[o] * xi;
-    }
-  }
-  return out;
-}
-
-// Inference path: one GEMM over the whole batch, straight on the stored
-// (in_f, out_f) weights. Each output element's k-sum runs over in_f in
-// ascending order on top of the bias — the same sequence as forward() —
-// so the two are bit-identical (see mathkit/gemm.hpp).
-void Dense::forward_eval(const Tensor& input, Tensor& out) {
-  const int n = input.dim(0);
   out.resize({n, out_f_});
   for (int b = 0; b < n; ++b) {
     float* orow = out.data() + static_cast<std::size_t>(b) * out_f_;
@@ -395,54 +295,17 @@ Tensor Dense::backward(const Tensor& grad_out) {
 
 // --------------------------------------------------------------- Softmax
 
-void softmax_row_into(const float* logits, int m, float* out) {
+std::vector<float> softmax_row(const float* logits, int m) {
+  std::vector<float> p(static_cast<std::size_t>(m));
   float mx = logits[0];
   for (int j = 1; j < m; ++j) mx = std::max(mx, logits[j]);
   float sum = 0.0f;
   for (int j = 0; j < m; ++j) {
-    out[j] = std::exp(logits[j] - mx);
-    sum += out[j];
+    p[static_cast<std::size_t>(j)] = std::exp(logits[j] - mx);
+    sum += p[static_cast<std::size_t>(j)];
   }
-  for (int j = 0; j < m; ++j) out[j] /= sum;
-}
-
-std::vector<float> softmax_row(const float* logits, int m) {
-  std::vector<float> p(static_cast<std::size_t>(m));
-  softmax_row_into(logits, m, p.data());
+  for (float& v : p) v /= sum;
   return p;
-}
-
-Tensor Softmax::forward(const Tensor& input, bool training) {
-  const int n = input.dim(0), m = input.dim(1);
-  Tensor out({n, m});
-  for (int b = 0; b < n; ++b) {
-    const auto p = softmax_row(input.data() + static_cast<std::size_t>(b) * m, m);
-    std::copy(p.begin(), p.end(), out.data() + static_cast<std::size_t>(b) * m);
-  }
-  if (training) cached_output_ = out;
-  return out;
-}
-
-void Softmax::forward_eval(const Tensor& input, Tensor& out) {
-  const int n = input.dim(0), m = input.dim(1);
-  out.resize({n, m});
-  for (int b = 0; b < n; ++b)
-    softmax_row_into(input.data() + static_cast<std::size_t>(b) * m, m,
-                     out.data() + static_cast<std::size_t>(b) * m);
-}
-
-Tensor Softmax::backward(const Tensor& grad_out) {
-  const int n = grad_out.dim(0), m = grad_out.dim(1);
-  Tensor grad_in({n, m});
-  for (int b = 0; b < n; ++b) {
-    const float* p = cached_output_.data() + static_cast<std::size_t>(b) * m;
-    const float* g = grad_out.data() + static_cast<std::size_t>(b) * m;
-    float gp = 0.0f;
-    for (int j = 0; j < m; ++j) gp += g[j] * p[j];
-    float* gi = grad_in.data() + static_cast<std::size_t>(b) * m;
-    for (int j = 0; j < m; ++j) gi[j] = p[j] * (g[j] - gp);
-  }
-  return grad_in;
 }
 
 }  // namespace icoil::nn

@@ -7,10 +7,11 @@
 
 namespace icoil::nn {
 
-/// Reusable intermediate buffers for Sequential::forward_eval. Own one per
-/// call site (il::IlPolicy keeps one for infer(), each batching service
-/// another) and the inference path stops allocating once shapes stabilize.
-struct EvalWorkspace {
+/// Reusable intermediate buffers for Sequential::forward. Own one per call
+/// site (il::IlPolicy keeps one for infer(), each batching service and each
+/// training shard another) and the forward stops allocating once shapes
+/// stabilize.
+struct Workspace {
   Tensor ping;
   Tensor pong;
 };
@@ -38,26 +39,17 @@ class Sequential {
     for (auto& l : layers_) l->init(rng);
   }
 
-  /// Per-layer forward. With training=true layers cache what backward()
-  /// needs; with training=false it is the reference the eval path is tested
-  /// against — inference itself goes through forward_eval.
-  Tensor forward(const Tensor& input, bool training = false) {
-    Tensor x = input;
-    for (auto& l : layers_) x = l->forward(x, training);
-    return x;
-  }
-
-  /// Inference-only forward through the caller's workspace: layers ping-pong
-  /// between the two buffers, so a steady-state caller allocates nothing per
-  /// call. Returns a reference into `ws` (or `input` for an empty network);
-  /// valid until the next forward_eval with the same workspace. Results are
-  /// bit-identical to forward(input, false).
-  const Tensor& forward_eval(const Tensor& input, EvalWorkspace& ws) {
+  /// Forward through the caller's workspace: layers ping-pong between its
+  /// two buffers, so a steady-state caller allocates nothing per call. With
+  /// training=true every layer also records what backward() needs. Returns
+  /// a reference into `ws` (or `input` for an empty network), valid until
+  /// the next forward with the same workspace.
+  const Tensor& forward(const Tensor& input, Workspace& ws, bool training) {
     const Tensor* cur = &input;
     Tensor* bufs[2] = {&ws.ping, &ws.pong};
     for (std::size_t i = 0; i < layers_.size(); ++i) {
       Tensor& dst = *bufs[i % 2];
-      layers_[i]->forward_eval(*cur, dst);
+      layers_[i]->forward(*cur, dst, training);
       cur = &dst;
     }
     return *cur;

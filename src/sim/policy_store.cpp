@@ -185,7 +185,12 @@ std::unique_ptr<il::IlPolicy> get_or_train_policy(
   const std::string dataset_path =
       options.dataset_cache_path.empty() ? std::string()
                                          : dataset_cache_path(options);
-  if (!dataset_path.empty() && dataset.load(dataset_path)) {
+  // A cached dataset is reused only if its images fit the network; any
+  // other shape would feed the first conv and dense layers out of bounds.
+  if (!dataset_path.empty() && dataset.load(dataset_path) &&
+      (dataset.empty() ||
+       (dataset[0].observation.channels() == il::kObservationChannels &&
+        dataset[0].observation.size() == options.policy.bev_size))) {
     if (options.verbose)
       std::fprintf(stderr, "[policy_store] loaded %zu cached samples from %s\n",
                    dataset.size(), dataset_path.c_str());

@@ -1,14 +1,15 @@
 #pragma once
 
-// The reference the IL inference path is tested against: the per-layer
-// forward(x, false) loops of nn::Sequential, post-processed exactly as
-// IlPolicy::infer does. Inference itself runs the GEMM eval kernels, so
-// every comparison below is bit for bit.
+// The reference the IL inference path is tested against: the scalar layer
+// loops of nn_oracle.hpp, post-processed exactly as IlPolicy::infer does.
+// Inference and training run the GEMM kernels, so every comparison below is
+// bit for bit.
 
 #include <gtest/gtest.h>
 
 #include "il/policy.hpp"
 #include "nn/tensor.hpp"
+#include "nn_oracle.hpp"
 #include "sensing/bev.hpp"
 
 namespace icoil::il::testing {
@@ -18,7 +19,7 @@ inline Inference oracle_infer(IlPolicy& policy,
   const nn::Tensor input = nn::Tensor::from_data(
       {1, observation.channels(), observation.size(), observation.size()},
       observation.data());
-  const nn::Tensor logits = policy.network().forward(input, /*training=*/false);
+  const nn::Tensor logits = nn::oracle::forward(policy.network(), input);
   return IlPolicy::inference_from_logits(logits.data(), logits.dim(1));
 }
 

@@ -178,9 +178,8 @@ TEST(PolicyTest, SaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
-// infer() runs the GEMM eval path on the policy's own buffers; it must match
-// the per-layer forward(x, false) oracle right after the weights change
-// underneath it.
+// infer() runs the GEMM forward on the policy's own buffers; it must match
+// the scalar oracle right after the weights change underneath it.
 TEST(PolicyTest, InferFollowsLoad) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "icoil_policy_reload.bin").string();
@@ -336,8 +335,8 @@ TEST(TrainerTest, InferAfterTrainingMatchesForwardOracle) {
   EXPECT_NE(policy.infer(d[0].observation).probs, before.probs);
 }
 
-// The per-epoch validation accuracy runs the eval path on the trained
-// weights; recount it with the forward(x, false) oracle on the same split.
+// The per-epoch validation accuracy runs the GEMM forward on the trained
+// weights; recount it with the scalar oracle on the same split.
 TEST(TrainerTest, ValAccuracyMatchesForwardOracle) {
   const Dataset d = make_row_dataset(160);
   TrainConfig cfg;
@@ -353,12 +352,12 @@ TEST(TrainerTest, ValAccuracyMatchesForwardOracle) {
   ASSERT_EQ(val.size(), 40u);
 
   IlPolicy policy(tiny_config(), 3);
-  policy.infer(d[0].observation);  // eval path warm before training
+  policy.infer(d[0].observation);  // infer() buffers warm before training
   std::vector<double> reported, oracle;
   Trainer(cfg).train(policy, d, [&](const EpochStats& e) {
     reported.push_back(e.val_accuracy);
     auto [batch, labels] = val.make_batch(0, val.size());
-    const nn::Tensor logits = policy.network().forward(batch, false);
+    const nn::Tensor logits = nn::oracle::forward(policy.network(), batch);
     oracle.push_back(nn::CrossEntropyLoss::accuracy(logits, labels));
   });
   ASSERT_EQ(reported.size(), 3u);

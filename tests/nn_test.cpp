@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -7,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <string>
+#include <vector>
 
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -14,9 +17,17 @@
 #include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
 #include "nn/tensor.hpp"
+#include "nn_oracle.hpp"
 
 namespace icoil::nn {
 namespace {
+
+/// One layer forward into a fresh output tensor.
+Tensor run(Layer& layer, const Tensor& input, bool training) {
+  Tensor out;
+  layer.forward(input, out, training);
+  return out;
+}
 
 // -------------------------------------------------------------- Tensor
 
@@ -56,13 +67,13 @@ void check_layer_gradients(Layer& layer, const std::vector<int>& input_shape,
     input[i] = static_cast<float>(rng.normal(0.0, 1.0));
 
   // Fixed projection so L is a scalar function.
-  Tensor out0 = layer.forward(input, /*training=*/true);
+  Tensor out0 = run(layer, input, /*training=*/true);
   Tensor proj(out0.shape());
   for (std::size_t i = 0; i < proj.size(); ++i)
     proj[i] = static_cast<float>(rng.normal(0.0, 1.0));
 
   auto loss_of = [&](const Tensor& in) {
-    Tensor out = layer.forward(in, /*training=*/true);
+    Tensor out = run(layer, in, /*training=*/true);
     double acc = 0.0;
     for (std::size_t i = 0; i < out.size(); ++i)
       acc += static_cast<double>(out[i]) * proj[i];
@@ -71,7 +82,7 @@ void check_layer_gradients(Layer& layer, const std::vector<int>& input_shape,
 
   // Analytic gradients.
   for (Param* p : layer.params()) p->grad.zero();
-  layer.forward(input, true);
+  run(layer, input, true);
   const Tensor grad_in = layer.backward(proj);
 
   // Input gradient check (sample a few coordinates).
@@ -124,11 +135,6 @@ TEST(GradCheckTest, MaxPool) {
   check_layer_gradients(layer, {1, 2, 6, 6});
 }
 
-TEST(GradCheckTest, Softmax) {
-  Softmax layer;
-  check_layer_gradients(layer, {3, 5});
-}
-
 TEST(GradCheckTest, CrossEntropyAgainstNumerical) {
   math::Rng rng(5);
   Tensor logits({3, 4});
@@ -156,7 +162,7 @@ TEST(LayerTest, ConvOutputShapeSamePadding) {
   math::Rng rng(1);
   conv.init(rng);
   Tensor in({2, 3, 16, 16});
-  const Tensor out = conv.forward(in, false);
+  const Tensor out = run(conv, in, false);
   EXPECT_EQ(out.shape(), (std::vector<int>{2, 8, 16, 16}));
 }
 
@@ -167,14 +173,14 @@ TEST(LayerTest, ConvKnownKernel) {
   conv.params()[0]->value.at4(0, 0, 1, 1) = 1.0f;  // center tap
   Tensor in({1, 1, 4, 4});
   for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<float>(i);
-  const Tensor out = conv.forward(in, false);
+  const Tensor out = run(conv, in, false);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_FLOAT_EQ(out[i], in[i]);
 }
 
 TEST(LayerTest, ReluClampsNegatives) {
   ReLU relu;
   Tensor in = Tensor::from_data({1, 4}, {-1.0f, 0.0f, 2.0f, -3.0f});
-  const Tensor out = relu.forward(in, false);
+  const Tensor out = run(relu, in, false);
   EXPECT_FLOAT_EQ(out[0], 0.0f);
   EXPECT_FLOAT_EQ(out[2], 2.0f);
   EXPECT_FLOAT_EQ(out[3], 0.0f);
@@ -185,7 +191,7 @@ TEST(LayerTest, MaxPoolPicksMaxAndHalvesSize) {
   Tensor in({1, 1, 4, 4});
   in.at4(0, 0, 0, 0) = 5.0f;
   in.at4(0, 0, 2, 3) = 7.0f;
-  const Tensor out = pool.forward(in, false);
+  const Tensor out = run(pool, in, false);
   EXPECT_EQ(out.shape(), (std::vector<int>{1, 1, 2, 2}));
   EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 0), 5.0f);
   EXPECT_FLOAT_EQ(out.at4(0, 0, 1, 1), 7.0f);
@@ -194,24 +200,22 @@ TEST(LayerTest, MaxPoolPicksMaxAndHalvesSize) {
 TEST(LayerTest, FlattenRoundTrip) {
   Flatten flat;
   Tensor in({2, 3, 4, 4});
-  const Tensor out = flat.forward(in, true);
+  const Tensor out = run(flat, in, true);
   EXPECT_EQ(out.shape(), (std::vector<int>{2, 48}));
   const Tensor back = flat.backward(out);
   EXPECT_EQ(back.shape(), in.shape());
 }
 
 TEST(LayerTest, SoftmaxRowsSumToOne) {
-  Softmax sm;
   math::Rng rng(2);
-  Tensor in({4, 6});
-  for (std::size_t i = 0; i < in.size(); ++i)
-    in[i] = static_cast<float>(rng.normal(0, 3));
-  const Tensor out = sm.forward(in, false);
   for (int r = 0; r < 4; ++r) {
+    float logits[6];
+    for (float& v : logits) v = static_cast<float>(rng.normal(0, 3));
+    const auto p = softmax_row(logits, 6);
     float sum = 0.0f;
-    for (int c = 0; c < 6; ++c) {
-      EXPECT_GE(out.at2(r, c), 0.0f);
-      sum += out.at2(r, c);
+    for (const float v : p) {
+      EXPECT_GE(v, 0.0f);
+      sum += v;
     }
     EXPECT_NEAR(sum, 1.0f, 1e-5f);
   }
@@ -285,10 +289,11 @@ TEST(TrainingTest, SgdReducesLossOnLinearlySeparableData) {
   }
 
   Sgd opt(net.params(), 0.05);
+  Workspace ws;
   float first_loss = 0.0f, last_loss = 0.0f;
   for (int epoch = 0; epoch < 60; ++epoch) {
     opt.zero_grad();
-    const Tensor logits = net.forward(x, true);
+    const Tensor& logits = net.forward(x, ws, true);
     const auto ce = CrossEntropyLoss::compute(logits, y);
     net.backward(ce.grad);
     opt.step();
@@ -296,7 +301,7 @@ TEST(TrainingTest, SgdReducesLossOnLinearlySeparableData) {
     last_loss = ce.loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.3f);
-  EXPECT_GT(CrossEntropyLoss::accuracy(net.forward(x, false), y), 0.95);
+  EXPECT_GT(CrossEntropyLoss::accuracy(net.forward(x, ws, false), y), 0.95);
 }
 
 TEST(TrainingTest, AdamConvergesFasterThanHighLrIsStable) {
@@ -313,10 +318,11 @@ TEST(TrainingTest, AdamConvergesFasterThanHighLrIsStable) {
     x.at2(i, 1) = static_cast<float>(rng.normal(0.0, 0.4));
   }
   Adam opt(net.params(), 1e-2);
+  Workspace ws;
   float last = 0.0f;
   for (int epoch = 0; epoch < 50; ++epoch) {
     opt.zero_grad();
-    const auto ce = CrossEntropyLoss::compute(net.forward(x, true), y);
+    const auto ce = CrossEntropyLoss::compute(net.forward(x, ws, true), y);
     net.backward(ce.grad);
     opt.step();
     last = ce.loss;
@@ -341,8 +347,9 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(load_params(b, path));
 
   Tensor x = Tensor::from_data({1, 3}, {0.3f, -0.7f, 1.1f});
-  const Tensor ya = a.forward(x, false);
-  const Tensor yb = b.forward(x, false);
+  Workspace wa, wb;
+  const Tensor& ya = a.forward(x, wa, false);
+  const Tensor& yb = b.forward(x, wb, false);
   for (std::size_t i = 0; i < ya.size(); ++i) EXPECT_FLOAT_EQ(ya[i], yb[i]);
   std::filesystem::remove(path);
 }
@@ -445,11 +452,8 @@ TEST(SerializeTest, RejectedLoadLeavesWeightsUntouched) {
   std::filesystem::remove(bad);
 }
 
-// ---------------------------------------------------- forward_eval parity
+// ---------------------------------------------------- forward vs the oracle
 
-// The allocation-free eval path promises BIT-identical outputs to
-// forward(., training=false) for every layer — exact equality, no
-// tolerance.
 Tensor random_tensor(std::vector<int> shape, math::Rng& rng) {
   Tensor t(std::move(shape));
   for (std::size_t i = 0; i < t.size(); ++i)
@@ -457,52 +461,201 @@ Tensor random_tensor(std::vector<int> shape, math::Rng& rng) {
   return t;
 }
 
-void expect_eval_matches_forward(Layer& layer, const Tensor& in,
-                                 const char* what) {
-  const Tensor ref = layer.forward(in, false);
-  Tensor out;
-  layer.forward_eval(in, out);
-  ASSERT_EQ(out.shape(), ref.shape()) << what;
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    ASSERT_EQ(out[i], ref[i]) << what << " elem " << i;
-  // Second pass through the same layer reuses its scratch buffers — the
-  // reuse must not leak state between calls.
-  Tensor again;
-  layer.forward_eval(in, again);
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    ASSERT_EQ(again[i], ref[i]) << what << " repeat elem " << i;
+void expect_same_bits(const Tensor& got, const Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(std::memcmp(got.data() + i, want.data() + i, sizeof(float)), 0)
+        << what << " elem " << i << ": " << got[i] << " vs " << want[i];
 }
 
-TEST(EvalPathTest, EachLayerMatchesForward) {
+// Every layer's forward must reproduce the scalar loops of nn_oracle.hpp
+// bit for bit (memcmp: even the sign of a zero counts), recording for
+// backward or not. The passes share one output tensor and the layer's own
+// scratch, so reuse must not leak state from one call into the next.
+void expect_forward_matches_oracle(Layer& layer, const Tensor& in,
+                                   const char* what) {
+  const Tensor want = oracle::forward(layer, in);
+  Tensor out;
+  int pass = 0;
+  for (const bool training : {false, false, true, true, false}) {
+    layer.forward(in, out, training);
+    expect_same_bits(out, want,
+                     std::string(what) + " pass " + std::to_string(pass++) +
+                         (training ? " (training)" : ""));
+  }
+}
+
+// What a training forward records must be a copy: backward has to give the
+// same answer after the forward's input and output are overwritten.
+Tensor backward_after_clobber(Layer& layer, const Tensor& in,
+                              const Tensor& grad) {
+  Tensor x = in, out;
+  layer.forward(x, out, /*training=*/true);
+  x.fill(123.0f);
+  out.fill(-123.0f);
+  return layer.backward(grad);
+}
+
+TEST(ForwardTest, EachLayerMatchesOracle) {
   math::Rng rng(31);
-  Tensor img = random_tensor({3, 4, 10, 10}, rng);
+  const Tensor img = random_tensor({3, 4, 10, 10}, rng);
 
   Conv2D conv(4, 6, 3, 1);
   conv.init(rng);
-  expect_eval_matches_forward(conv, img, "conv");
+  expect_forward_matches_oracle(conv, img, "conv");
 
   ReLU relu;
-  expect_eval_matches_forward(relu, img, "relu");
+  expect_forward_matches_oracle(relu, img, "relu");
 
   MaxPool2D pool;
-  expect_eval_matches_forward(pool, img, "pool");
+  expect_forward_matches_oracle(pool, img, "pool");
 
   Flatten flatten;
-  expect_eval_matches_forward(flatten, img, "flatten");
+  expect_forward_matches_oracle(flatten, img, "flatten");
 
   Dense dense(12, 5);
   dense.init(rng);
-  Tensor rows = random_tensor({3, 12}, rng);
-  expect_eval_matches_forward(dense, rows, "dense");
+  const Tensor rows = random_tensor({3, 12}, rng);
+  expect_forward_matches_oracle(dense, rows, "dense");
 
-  Softmax softmax;
-  expect_eval_matches_forward(softmax, rows, "softmax");
+  // Zero weights and a zero image: the GEMM adds the ±0 terms the AXPY
+  // loop skips, and the result must still match bit for bit.
+  Conv2D sparse(4, 6, 3, 1);
+  sparse.init(rng);
+  Tensor& sw = sparse.params()[0]->value;
+  for (std::size_t i = 0; i < sw.size(); i += 3) sw[i] = 0.0f;
+  expect_forward_matches_oracle(sparse, img, "conv, zero weights");
+  expect_forward_matches_oracle(sparse, Tensor({2, 4, 6, 6}),
+                                "conv, zero image");
+}
+
+// Backward reads only what the training forward recorded: ReLU's mask,
+// the pool's argmax in the oracle's scan order and tie-break, Flatten's
+// shape, and copies of the Conv2D/Dense inputs.
+TEST(ForwardTest, TrainingForwardRecordsWhatBackwardNeeds) {
+  math::Rng rng(41);
+  // Values in {-1, 0, 1}: many pool windows tie, and ReLU sees exact zeros.
+  Tensor img({2, 3, 8, 8});
+  for (std::size_t i = 0; i < img.size(); ++i)
+    img[i] = static_cast<float>(rng.uniform_int(-1, 1));
+  const Tensor g_img = random_tensor(img.shape(), rng);
+
+  ReLU relu;
+  const Tensor relu_grad = backward_after_clobber(relu, img, g_img);
+  Tensor relu_want = g_img;
+  for (std::size_t i = 0; i < img.size(); ++i)
+    relu_want[i] *= img[i] > 0.0f ? 1.0f : 0.0f;
+  expect_same_bits(relu_grad, relu_want, "relu");
+
+  MaxPool2D pool;
+  std::vector<std::size_t> argmax;
+  const Tensor pooled = oracle::maxpool2d(img, &argmax);
+  const Tensor g_pool = random_tensor(pooled.shape(), rng);
+  Tensor pool_want(img.shape());
+  for (std::size_t i = 0; i < g_pool.size(); ++i)
+    pool_want[argmax[i]] += g_pool[i];
+  expect_same_bits(backward_after_clobber(pool, img, g_pool), pool_want,
+                   "pool");
+
+  Flatten flatten;
+  const Tensor g_flat = Tensor::from_data({2, 3 * 8 * 8}, g_img.vec());
+  expect_same_bits(backward_after_clobber(flatten, img, g_flat), g_img,
+                   "flatten");
+
+  // Conv2D and Dense: against a twin whose input stays intact.
+  Conv2D conv(3, 4, 3, 1);
+  conv.init(rng);
+  Conv2D conv_twin = conv;
+  const Tensor g_conv = random_tensor({2, 4, 8, 8}, rng);
+  const Tensor conv_grad = backward_after_clobber(conv, img, g_conv);
+  Tensor unused;
+  conv_twin.forward(img, unused, /*training=*/true);
+  expect_same_bits(conv_grad, conv_twin.backward(g_conv), "conv input grad");
+  for (std::size_t p = 0; p < 2; ++p)
+    expect_same_bits(conv.params()[p]->grad, conv_twin.params()[p]->grad,
+                     "conv param grad " + std::to_string(p));
+
+  Dense dense(12, 5);
+  dense.init(rng);
+  Dense dense_twin = dense;
+  const Tensor rows = random_tensor({3, 12}, rng);
+  const Tensor g_rows = random_tensor({3, 5}, rng);
+  const Tensor dense_grad = backward_after_clobber(dense, rows, g_rows);
+  dense_twin.forward(rows, unused, /*training=*/true);
+  expect_same_bits(dense_grad, dense_twin.backward(g_rows), "dense input grad");
+  for (std::size_t p = 0; p < 2; ++p)
+    expect_same_bits(dense.params()[p]->grad, dense_twin.params()[p]->grad,
+                     "dense param grad " + std::to_string(p));
+}
+
+// A conv -> relu -> pool -> flatten -> dense stack through one Workspace,
+// checked against central differences. Every layer writes one of the same
+// two buffers and both are overwritten before backward, so the analytic
+// gradient is right only if each layer recorded a copy of its input, not a
+// view of a ping-pong buffer.
+TEST(GradCheckTest, StackThroughOneWorkspace) {
+  math::Rng rng(13);
+  Sequential net;
+  net.add<Conv2D>(2, 3, 3, 1);
+  net.add<ReLU>();
+  net.add<MaxPool2D>();
+  net.add<Flatten>();
+  net.add<Dense>(3 * 3 * 3, 4);
+  net.init(rng);
+  const Tensor input = random_tensor({2, 2, 6, 6}, rng);
+  const Tensor proj = random_tensor({2, 4}, rng);
+
+  Workspace ws;
+  auto loss_of = [&](const Tensor& in) {
+    const Tensor& out = net.forward(in, ws, /*training=*/true);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < out.size(); ++i)
+      acc += static_cast<double>(out[i]) * proj[i];
+    return acc;
+  };
+
+  net.zero_grad();
+  Tensor x = input;
+  net.forward(x, ws, /*training=*/true);
+  ws.ping.fill(1e3f);
+  ws.pong.fill(-1e3f);
+  x.fill(1e3f);
+  const Tensor grad_in = net.backward(proj);
+  std::vector<Tensor> grads;
+  for (Param* p : net.params()) grads.push_back(p->grad);
+
+  const double eps = 1e-3, tol = 2e-2;
+  for (std::size_t i = 0; i < input.size(); i += 5) {
+    Tensor plus = input, minus = input;
+    plus[i] += static_cast<float>(eps);
+    minus[i] -= static_cast<float>(eps);
+    const double num = (loss_of(plus) - loss_of(minus)) / (2 * eps);
+    EXPECT_NEAR(grad_in[i], num, tol * std::max(1.0, std::abs(num)))
+        << "input grad at " << i;
+  }
+  const auto params = net.params();
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    Tensor& value = params[k]->value;
+    for (std::size_t i = 0; i < value.size();
+         i += std::max<std::size_t>(1, value.size() / 6)) {
+      const float saved = value[i];
+      value[i] = saved + static_cast<float>(eps);
+      const double lp = loss_of(input);
+      value[i] = saved - static_cast<float>(eps);
+      const double lm = loss_of(input);
+      value[i] = saved;
+      const double num = (lp - lm) / (2 * eps);
+      EXPECT_NEAR(grads[k][i], num, tol * std::max(1.0, std::abs(num)))
+          << "param " << k << " grad at " << i;
+    }
+  }
 }
 
 // Dense stores W as (in, out): element i * out + o couples input i to
 // output o. init draws the logical weights in (o, i) order, so a seed builds
 // the same network whatever the storage layout.
-TEST(EvalPathTest, DenseWeightLayoutAndInitOrder) {
+TEST(ForwardTest, DenseWeightLayoutAndInitOrder) {
   Dense dense(3, 4);
   math::Rng rng(5), expect(5);
   dense.init(rng);
@@ -518,36 +671,33 @@ TEST(EvalPathTest, DenseWeightLayoutAndInitOrder) {
   for (Param* p : dense.params()) p->value.zero();
   dense.params()[0]->value[2 * 4 + 1] = 3.0f;  // input 2 -> output 1
   const Tensor x = Tensor::from_data({1, 3}, {0.0f, 0.0f, 2.0f});
-  const Tensor y = dense.forward(x, false);
+  const Tensor y = run(dense, x, false);
   EXPECT_EQ(y[1], 6.0f);
   EXPECT_EQ(y[0] + y[2] + y[3], 0.0f);
 }
 
-// forward_eval reads the learnable weights themselves, so any change to
-// them — an optimizer step, a load — shows on the next eval call.
-TEST(EvalPathTest, DenseEvalFollowsWeightUpdates) {
+// Forward reads the learnable weights themselves, so any change to them —
+// an optimizer step, a load — shows on the next call.
+TEST(ForwardTest, DenseForwardFollowsWeightUpdates) {
   math::Rng rng(5);
   Dense dense(8, 4);
   dense.init(rng);
-  Tensor in = random_tensor({2, 8}, rng);
+  const Tensor in = random_tensor({2, 8}, rng);
 
   Tensor out;
-  dense.forward_eval(in, out);
-
-  Tensor up = dense.forward(in, true);
-  Tensor grad(up.shape());
+  dense.forward(in, out, /*training=*/true);
+  Tensor grad(out.shape());
   for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = 0.25f;
   dense.backward(grad);
   for (auto* p : dense.params())
     for (std::size_t i = 0; i < p->value.size(); ++i)
       p->value[i] -= 0.1f * p->grad[i];
 
-  const Tensor ref = dense.forward(in, false);
-  dense.forward_eval(in, out);
-  for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(out[i], ref[i]);
+  dense.forward(in, out, /*training=*/false);
+  expect_same_bits(out, oracle::forward(dense, in), "after update");
 }
 
-TEST(EvalPathTest, SequentialEvalFollowsLoad) {
+TEST(ForwardTest, SequentialForwardFollowsLoad) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "icoil_nn_eval_load.bin").string();
   Sequential a = make_mlp(6, 6, 6);  // square layers
@@ -558,16 +708,15 @@ TEST(EvalPathTest, SequentialEvalFollowsLoad) {
   ASSERT_TRUE(save_params(b, path));
 
   const Tensor in = random_tensor({3, 6}, ra);
-  EvalWorkspace ws;
-  (void)a.forward_eval(in, ws);
+  Workspace ws;
+  (void)a.forward(in, ws, false);
   ASSERT_TRUE(load_params(a, path));
-  const Tensor ref = b.forward(in, false);
-  const Tensor& out = a.forward_eval(in, ws);
-  for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(out[i], ref[i]) << i;
+  expect_same_bits(a.forward(in, ws, false), oracle::forward(b, in),
+                   "after load");
   std::filesystem::remove(path);
 }
 
-TEST(EvalPathTest, SequentialMatchesForwardThroughWorkspace) {
+TEST(ForwardTest, SequentialMatchesOracleThroughWorkspace) {
   math::Rng rng(77);
   Sequential net;
   net.add<Conv2D>(2, 4, 3, 1);
@@ -575,17 +724,14 @@ TEST(EvalPathTest, SequentialMatchesForwardThroughWorkspace) {
   net.add<MaxPool2D>();
   net.add<Flatten>();
   net.add<Dense>(4 * 6 * 6, 10);
-  net.add<Softmax>();
   net.init(rng);
 
-  EvalWorkspace ws;
-  for (int pass = 0; pass < 3; ++pass) {
+  Workspace ws;
+  for (int pass = 0; pass < 4; ++pass) {
     const Tensor in = random_tensor({2, 2, 12, 12}, rng);
-    const Tensor ref = net.forward(in, false);
-    const Tensor& out = net.forward_eval(in, ws);
-    ASSERT_EQ(out.shape(), ref.shape());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      ASSERT_EQ(out[i], ref[i]) << "pass " << pass << " elem " << i;
+    const bool training = pass % 2 == 1;
+    expect_same_bits(net.forward(in, ws, training), oracle::forward(net, in),
+                     "pass " + std::to_string(pass));
   }
 }
 

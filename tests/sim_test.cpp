@@ -381,6 +381,26 @@ TEST(ExpertTest, DatasetSaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
+/// A hand-written pre-provenance (v1) dataset file: header, then per sample
+/// label + raw pixels; `extra` is appended after the samples.
+void write_v1_dataset(const std::string& path, std::uint32_t n,
+                      std::uint32_t channels, std::uint32_t size,
+                      const std::vector<std::int32_t>& labels,
+                      const std::string& extra = "") {
+  std::ofstream f(path, std::ios::binary);
+  const std::uint32_t header[4] = {0x1C011D5Eu, n, channels, size};
+  f.write(reinterpret_cast<const char*>(header), sizeof(header));
+  // Only small shapes carry samples; the huge ones are header-only.
+  const std::vector<char> pixels(
+      labels.empty() ? 0 : static_cast<std::size_t>(channels) * size * size,
+      '\x40');
+  for (const std::int32_t label : labels) {
+    f.write(reinterpret_cast<const char*>(&label), sizeof(label));
+    f.write(pixels.data(), static_cast<std::streamsize>(pixels.size()));
+  }
+  f << extra;
+}
+
 TEST(ExpertTest, DatasetLoadRejectsGarbage) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "icoil_garbage.bin").string();
@@ -391,7 +411,76 @@ TEST(ExpertTest, DatasetLoadRejectsGarbage) {
   il::Dataset d;
   EXPECT_FALSE(d.load(path));
   EXPECT_FALSE(d.load("/nonexistent/nope.bin"));
+
+  // The well-formed baseline the corruptions below start from.
+  write_v1_dataset(path, 1, 1, 2, {3});
+  ASSERT_TRUE(d.load(path));
+  ASSERT_EQ(d.size(), 1u);
+
+  // A sample count the file cannot hold: rejected before any allocation
+  // (reserving 2^32 samples throws std::bad_alloc).
+  write_v1_dataset(path, 0xFFFFFFFFu, 1, 2, {3});
+  EXPECT_FALSE(d.load(path));
+  // So is an image shape whose pixel count overflows what is left.
+  write_v1_dataset(path, 1, 0xFFFFFFFFu, 0xFFFFFFFFu, {});
+  EXPECT_FALSE(d.load(path));
+  write_v1_dataset(path, 1, 0, 0, {3});
+  EXPECT_FALSE(d.load(path));
+  // Truncated or trailing bytes.
+  write_v1_dataset(path, 2, 1, 2, {3});
+  EXPECT_FALSE(d.load(path));
+  write_v1_dataset(path, 1, 1, 2, {3}, "x");
+  EXPECT_FALSE(d.load(path));
+
+  // Labels outside [0, num_classes) would index the loss out of bounds.
+  for (const std::int32_t label :
+       {99, -5, il::ActionDiscretizer::num_classes()}) {
+    write_v1_dataset(path, 1, 1, 2, {label});
+    EXPECT_FALSE(d.load(path)) << "v1 label " << label;
+    il::Dataset bad;
+    bad.add({sense::BevImage(1, 2), label});
+    ASSERT_TRUE(bad.save(path));
+    EXPECT_FALSE(d.load(path)) << "v2 label " << label;
+  }
+  // A rejected file leaves the last good contents in place.
+  EXPECT_EQ(d.size(), 1u);
   std::filesystem::remove(path);
+}
+
+// A cached dataset whose images do not fit the network (a valid file for
+// another BEV size) is re-recorded, not trained on.
+TEST(PolicyStoreTest, MismatchedDatasetShapeIsReRecorded) {
+  const auto dir = std::filesystem::temp_directory_path() / "icoil_store_shape";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  PolicyStoreOptions opts;
+  opts.cache_path = (dir / "policy.bin").string();
+  opts.dataset_cache_path = (dir / "dataset.bin").string();
+  opts.verbose = false;
+  opts.expert.episodes = 1;
+  opts.expert.frame_stride = 16;
+  opts.train.epochs = 1;
+  opts.policy.bev_size = 16;
+  opts.policy.conv_channels[0] = 2;
+  opts.policy.conv_channels[1] = 2;
+  opts.policy.conv_channels[2] = 4;
+  opts.policy.fc_sizes[0] = 8;
+  opts.policy.fc_sizes[1] = 8;
+  opts.policy.fc_sizes[2] = 8;
+
+  const std::string dataset_path = dataset_cache_path(opts);
+  il::Dataset wrong;
+  for (int i = 0; i < 4; ++i)
+    wrong.add({sense::BevImage(il::kObservationChannels, 24), i});
+  ASSERT_TRUE(wrong.save(dataset_path));
+
+  ASSERT_NE(get_or_train_policy(opts), nullptr);
+  il::Dataset cached;
+  ASSERT_TRUE(cached.load(dataset_path));
+  ASSERT_FALSE(cached.empty());
+  EXPECT_EQ(cached[0].observation.size(), 16);
+  EXPECT_EQ(cached[0].observation.channels(), il::kObservationChannels);
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------ policy store
