@@ -289,7 +289,7 @@ BENCHMARK(BM_GemmBlockedF32)->Arg(32)->Arg(128)->Arg(512)->Unit(benchmark::kMicr
 // The first conv stage of the default policy: per-item im2col plus one
 // GEMM, the kernel inference and training share.
 void BM_ConvForward(benchmark::State& state) {
-  nn::Conv2D conv(4, 8, 3, 1);
+  nn::Conv2D conv(4, 8, 3);
   math::Rng rng(1);
   conv.init(rng);
   nn::Tensor in({1, 4, 48, 48});
@@ -325,6 +325,35 @@ void BM_PolicyForward(benchmark::State& state) {
       static_cast<double>(batch), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_PolicyForward)->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
+
+// The ReLU after the first conv, on what it sees in serving: the first conv
+// layer's output for `batch` copies of BM_PolicyForward's observation
+// (8 x 48 x 48 floats per item).
+void BM_ReluForward(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  il::IlPolicy policy{il::IlPolicyConfig(), 42u};
+  world::ScenarioOptions opt;
+  const world::World world{world::make_scenario(opt, 5)};
+  const sense::BevRasterizer raster(policy.bev_spec());
+  const sense::BevImage obs = il::make_observation(
+      raster.render(world, world.scenario().start_pose), 0.3);
+  nn::Tensor in({batch, obs.channels(), obs.size(), obs.size()});
+  for (int i = 0; i < batch; ++i)
+    std::copy(obs.data().begin(), obs.data().end(),
+              in.data() + static_cast<std::size_t>(i) * obs.num_values());
+  nn::Tensor conv_out, out;
+  policy.network().layer(0).forward(in, conv_out, /*training=*/false);
+  nn::ReLU relu;
+  for (auto _ : state) {
+    relu.forward(conv_out, out, /*training=*/false);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["floats_per_s"] = benchmark::Counter(
+      static_cast<double>(conv_out.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ReluForward)->Arg(1)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 // Baseline the batched service competes against: N sequential single-
 // observation infer() calls. infer() runs the same GEMM eval kernels on a

@@ -16,7 +16,7 @@ nn::Sequential build_network(const IlPolicy::Config& c) {
   int ch = kObservationChannels;
   int side = c.bev_size;
   for (int stage = 0; stage < 3; ++stage) {
-    net.add<nn::Conv2D>(ch, c.conv_channels[stage], 3, 1);
+    net.add<nn::Conv2D>(ch, c.conv_channels[stage], 3);
     net.add<nn::ReLU>();
     net.add<nn::MaxPool2D>();
     ch = c.conv_channels[stage];

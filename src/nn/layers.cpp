@@ -1,7 +1,9 @@
 #include "nn/layers.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 
 #include "mathkit/gemm.hpp"
 
@@ -9,10 +11,12 @@ namespace icoil::nn {
 
 // ---------------------------------------------------------------- Conv2D
 
-Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int pad)
-    : in_c_(in_channels), out_c_(out_channels), k_(kernel), pad_(pad),
+Conv2D::Conv2D(int in_channels, int out_channels, int kernel)
+    : in_c_(in_channels), out_c_(out_channels), k_(kernel), pad_(kernel / 2),
       weight_({out_channels, in_channels, kernel, kernel}),
-      bias_({out_channels}) {}
+      bias_({out_channels}) {
+  assert(kernel % 2 == 1 && "\"same\" padding needs an odd kernel");
+}
 
 void Conv2D::init(math::Rng& rng) {
   // He initialization for ReLU networks.
@@ -22,6 +26,39 @@ void Conv2D::init(math::Rng& rng) {
   bias_.value.zero();
 }
 
+namespace {
+
+// The column row of one tap (dy, dx) over an h x w plane with "same"
+// padding: crow[y*w + x] = plane[(y+dy)*w + x+dx] where that pixel exists,
+// 0 where it falls in the padding. Input and output rows share the stride
+// w, so the in-plane entries of all rows form one shifted run of the input,
+// copied at once. The run also spans the |dx| padding entries between
+// consecutive rows, which are zeroed after it, as are the entries before
+// and after the run. Every entry is written, so nothing left in `crow` by
+// an earlier call (of any geometry) shows through.
+void im2col_tap(const float* plane, int h, int w, int dy, int dx,
+                float* crow) {
+  const std::size_t size = static_cast<std::size_t>(h) * w;
+  const int y_lo = std::max(0, -dy), y_hi = std::min(h, h - dy);
+  const int x_lo = std::max(0, -dx), x_hi = std::min(w, w - dx);
+  if (y_lo >= y_hi || x_lo >= x_hi) {
+    std::fill(crow, crow + size, 0.0f);
+    return;
+  }
+  const std::size_t begin = static_cast<std::size_t>(y_lo) * w + x_lo;
+  const std::size_t end = static_cast<std::size_t>(y_hi - 1) * w + x_hi;
+  const std::ptrdiff_t shift = static_cast<std::ptrdiff_t>(dy) * w + dx;
+  std::fill(crow, crow + begin, 0.0f);
+  std::copy(plane + begin + shift, plane + end + shift, crow + begin);
+  if (dx != 0)
+    for (int y = y_lo; y + 1 < y_hi; ++y)
+      std::fill(crow + static_cast<std::size_t>(y) * w + x_hi,
+                crow + static_cast<std::size_t>(y + 1) * w + x_lo, 0.0f);
+  std::fill(crow + end, crow + size, 0.0f);
+}
+
+}  // namespace
+
 // Per-item im2col + one GEMM per item against the shared weights. Column
 // rows are ordered (ic, ky, kx) — exactly the weight layout — and the output
 // is bias-initialized before an accumulating GEMM, so every output element
@@ -29,58 +66,35 @@ void Conv2D::init(math::Rng& rng) {
 // mathkit/gemm.hpp for why the GEMM itself never reassociates).
 void Conv2D::forward(const Tensor& input, Tensor& out, bool training) {
   const int n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const int oh = h + 2 * pad_ - k_ + 1;
-  const int ow = w + 2 * pad_ - k_ + 1;
   if (training) cached_input_ = input;
-  out.resize({n, out_c_, oh, ow});
+  out.resize({n, out_c_, h, w});
 
-  const std::size_t in_plane = static_cast<std::size_t>(h) * w;
-  const std::size_t out_plane = static_cast<std::size_t>(oh) * ow;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
   const int taps = in_c_ * k_ * k_;
-
-  // The im2col scratch persists across frames. Entries that correspond to
-  // zero padding are never touched in the per-item fill below, so the
-  // buffer is zeroed once per geometry change and the padding zeros simply
-  // persist from frame to frame.
-  const std::vector<int> col_shape = {taps, static_cast<int>(out_plane)};
-  if (col_.shape() != col_shape) {
-    col_.resize(col_shape);
-    col_.zero();
-  }
+  col_.resize({taps, static_cast<int>(plane)});
 
   for (int b = 0; b < n; ++b) {
     for (int ic = 0; ic < in_c_; ++ic) {
       const float* in_base =
-          input.data() + (static_cast<std::size_t>(b) * in_c_ + ic) * in_plane;
-      for (int ky = 0; ky < k_; ++ky) {
-        for (int kx = 0; kx < k_; ++kx) {
-          const int dy = ky - pad_, dx = kx - pad_;
-          const int y_lo = std::max(0, -dy), y_hi = std::min(oh, h - dy);
-          const int x_lo = std::max(0, -dx), x_hi = std::min(ow, w - dx);
-          float* crow = col_.data() +
-                        static_cast<std::size_t>((ic * k_ + ky) * k_ + kx) *
-                            out_plane;
-          for (int y = y_lo; y < y_hi; ++y) {
-            const float* irow =
-                in_base + static_cast<std::size_t>(y + dy) * w + dx;
-            float* cdst = crow + static_cast<std::size_t>(y) * ow;
-            std::copy(irow + x_lo, irow + x_hi, cdst + x_lo);
-          }
-        }
-      }
+          input.data() + (static_cast<std::size_t>(b) * in_c_ + ic) * plane;
+      for (int ky = 0; ky < k_; ++ky)
+        for (int kx = 0; kx < k_; ++kx)
+          im2col_tap(in_base, h, w, ky - pad_, kx - pad_,
+                     col_.data() +
+                         static_cast<std::size_t>((ic * k_ + ky) * k_ + kx) *
+                             plane);
     }
 
-    float* out_base =
-        out.data() + static_cast<std::size_t>(b) * out_c_ * out_plane;
+    float* out_base = out.data() + static_cast<std::size_t>(b) * out_c_ * plane;
     for (int oc = 0; oc < out_c_; ++oc) {
       const float bias = bias_.value[static_cast<std::size_t>(oc)];
-      float* orow = out_base + static_cast<std::size_t>(oc) * out_plane;
-      for (std::size_t i = 0; i < out_plane; ++i) orow[i] = bias;
+      float* orow = out_base + static_cast<std::size_t>(oc) * plane;
+      for (std::size_t i = 0; i < plane; ++i) orow[i] = bias;
     }
-    math::gemm_f32(static_cast<std::size_t>(out_c_), out_plane,
+    math::gemm_f32(static_cast<std::size_t>(out_c_), plane,
                    static_cast<std::size_t>(taps), weight_.value.data(),
-                   static_cast<std::size_t>(taps), col_.data(), out_plane,
-                   out_base, out_plane, /*accumulate=*/true);
+                   static_cast<std::size_t>(taps), col_.data(), plane,
+                   out_base, plane, /*accumulate=*/true);
   }
 }
 
@@ -135,16 +149,42 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
 
 // ------------------------------------------------------------------ ReLU
 
+namespace {
+
+// Four float lanes: SSE2 on x86-64, so this TU needs no -mavx2 (wider GNU
+// vectors would be split into pairs here). aligned(4) permits loads from
+// any float address, may_alias lets the lanes read the tensors' storage.
+typedef float f32x4 __attribute__((vector_size(16), aligned(4), may_alias));
+
+// One expression for a lane vector and for a scalar. A vector compare
+// gives an all-ones or all-zeros mask per lane and `?:` selects lane by
+// lane, so each lane gets exactly the scalar result: -0 and NaN are not
+// below 0 and pass through; NaN is not above 0 and masks to 0.
+template <typename T>
+T relu_value(T v, T zero) { return v < zero ? zero : v; }
+template <typename T>
+T relu_mask(T v, T zero, T one) { return v > zero ? one : zero; }
+
+}  // namespace
+
+// Branch-free: whole lane vectors, then a scalar tail of at most 3.
 void ReLU::forward(const Tensor& input, Tensor& out, bool training) {
   out.resize(input.shape());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const float v = input[i];
-    out[i] = v < 0.0f ? 0.0f : v;
-  }
+  const std::size_t n = input.size(), vn = n - n % 4;
+  const float* x = input.data();
+  float* y = out.data();
+  const f32x4 zero{}, one = zero + 1.0f;
+  for (std::size_t i = 0; i < vn; i += 4)
+    *reinterpret_cast<f32x4*>(y + i) =
+        relu_value(*reinterpret_cast<const f32x4*>(x + i), zero);
+  for (std::size_t i = vn; i < n; ++i) y[i] = relu_value(x[i], 0.0f);
   if (!training) return;
   mask_.resize(input.shape());
-  for (std::size_t i = 0; i < input.size(); ++i)
-    mask_[i] = input[i] > 0.0f ? 1.0f : 0.0f;
+  float* m = mask_.data();
+  for (std::size_t i = 0; i < vn; i += 4)
+    *reinterpret_cast<f32x4*>(m + i) =
+        relu_mask(*reinterpret_cast<const f32x4*>(x + i), zero, one);
+  for (std::size_t i = vn; i < n; ++i) m[i] = relu_mask(x[i], 0.0f, 1.0f);
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {

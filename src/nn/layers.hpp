@@ -6,12 +6,15 @@
 
 namespace icoil::nn {
 
-/// 2-D convolution, stride 1, zero padding `pad`, square kernel.
-/// Input/output NCHW. Forward is per-item im2col plus one GEMM against the
-/// weights; backward is the shifted-row loop over the cached input.
+/// 2-D convolution, stride 1, square odd kernel, "same" zero padding
+/// (pad = kernel / 2, so the output plane is the input's). Input/output
+/// NCHW. Forward is per-item im2col — each tap's column row is one shifted
+/// run of the input plane, with the padding entries zeroed — plus one GEMM
+/// against the weights; backward is the shifted-row loop over the cached
+/// input.
 class Conv2D final : public Layer {
  public:
-  Conv2D(int in_channels, int out_channels, int kernel = 3, int pad = 1);
+  Conv2D(int in_channels, int out_channels, int kernel = 3);
 
   std::string name() const override { return "conv2d"; }
   void forward(const Tensor& input, Tensor& output, bool training) override;
@@ -28,10 +31,12 @@ class Conv2D final : public Layer {
   Param weight_;  ///< (out_c, in_c, k, k)
   Param bias_;    ///< (out_c)
   Tensor cached_input_;
-  Tensor col_;  ///< im2col scratch, reused across calls
+  Tensor col_;  ///< im2col scratch, reused and fully rewritten per item
 };
 
-/// Elementwise max(0, x).
+/// Elementwise max(0, x): `x < 0 ? 0 : x`, so -0 and NaN pass through.
+/// Forward runs branch-free on 4-float vector lanes, bit-identical to the
+/// scalar select; the training mask is `x > 0 ? 1 : 0`.
 class ReLU final : public Layer {
  public:
   std::string name() const override { return "relu"; }

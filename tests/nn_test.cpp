@@ -8,7 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -121,7 +123,7 @@ TEST(GradCheckTest, Dense) {
 }
 
 TEST(GradCheckTest, Conv2D) {
-  Conv2D layer(2, 3, 3, 1);
+  Conv2D layer(2, 3, 3);
   check_layer_gradients(layer, {2, 2, 6, 6});
 }
 
@@ -158,7 +160,7 @@ TEST(GradCheckTest, CrossEntropyAgainstNumerical) {
 // ---------------------------------------------------------------- layers
 
 TEST(LayerTest, ConvOutputShapeSamePadding) {
-  Conv2D conv(3, 8, 3, 1);
+  Conv2D conv(3, 8, 3);
   math::Rng rng(1);
   conv.init(rng);
   Tensor in({2, 3, 16, 16});
@@ -168,7 +170,7 @@ TEST(LayerTest, ConvOutputShapeSamePadding) {
 
 TEST(LayerTest, ConvKnownKernel) {
   // Identity-ish kernel: single 1 at the center of a 3x3, one channel.
-  Conv2D conv(1, 1, 3, 1);
+  Conv2D conv(1, 1, 3);
   for (Param* p : conv.params()) p->value.zero();
   conv.params()[0]->value.at4(0, 0, 1, 1) = 1.0f;  // center tap
   Tensor in({1, 1, 4, 4});
@@ -501,7 +503,7 @@ TEST(ForwardTest, EachLayerMatchesOracle) {
   math::Rng rng(31);
   const Tensor img = random_tensor({3, 4, 10, 10}, rng);
 
-  Conv2D conv(4, 6, 3, 1);
+  Conv2D conv(4, 6, 3);
   conv.init(rng);
   expect_forward_matches_oracle(conv, img, "conv");
 
@@ -521,13 +523,94 @@ TEST(ForwardTest, EachLayerMatchesOracle) {
 
   // Zero weights and a zero image: the GEMM adds the ±0 terms the AXPY
   // loop skips, and the result must still match bit for bit.
-  Conv2D sparse(4, 6, 3, 1);
+  Conv2D sparse(4, 6, 3);
   sparse.init(rng);
   Tensor& sw = sparse.params()[0]->value;
   for (std::size_t i = 0; i < sw.size(); i += 3) sw[i] = 0.0f;
   expect_forward_matches_oracle(sparse, img, "conv, zero weights");
   expect_forward_matches_oracle(sparse, Tensor({2, 4, 6, 6}),
                                 "conv, zero image");
+}
+
+// ReLU runs on 4-float vector lanes plus a scalar tail. Every special value
+// (signed zeros, NaNs of both signs, infinities, denormals) must land in
+// every lane and in the tail: lengths 0 to 9 at every rotation of the value
+// pool. The output must equal the oracle's select and the training mask
+// `v > 0 ? 1 : 0`, bit for bit (a -0 stays -0, a NaN keeps its payload and
+// masks to 0). backward of all-ones reads the mask back exactly.
+TEST(ForwardTest, ReluMatchesOracleOnSpecialValuesAndTails) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> pool = {
+      0.0f, -0.0f, nan, -nan, inf, -inf, tiny, -tiny,
+      1e-39f, -1e-39f, 1.5f, -2.5f, std::numeric_limits<float>::max()};
+  ReLU relu;
+  for (int len = 0; len <= 9; ++len) {
+    for (std::size_t rot = 0; rot < pool.size(); ++rot) {
+      Tensor in({1, len});
+      for (int i = 0; i < len; ++i)
+        in[static_cast<std::size_t>(i)] =
+            pool[(rot + static_cast<std::size_t>(i)) % pool.size()];
+      const std::string what =
+          "len " + std::to_string(len) + " rot " + std::to_string(rot);
+      expect_forward_matches_oracle(relu, in, what.c_str());
+
+      Tensor out;
+      relu.forward(in, out, /*training=*/true);
+      Tensor mask_want(in.shape()), ones(in.shape(), 1.0f);
+      for (std::size_t i = 0; i < in.size(); ++i)
+        mask_want[i] = in[i] > 0.0f ? 1.0f : 0.0f;
+      expect_same_bits(relu.backward(ones), mask_want, what + " mask");
+    }
+  }
+}
+
+// Conv2D's im2col writes each tap's column row as one shifted run of the
+// input plane and then zeroes the padding entries around and inside it.
+// Degenerate planes (a single pixel, a single row or column, a plane no
+// wider than the padding) and the policy's 48x48 must all match the
+// shifted-row oracle bit for bit, for 3x3 and 5x5 kernels.
+TEST(ForwardTest, ConvMatchesOracleOnEveryPlaneShape) {
+  math::Rng rng(53);
+  const std::vector<std::pair<int, int>> planes = {
+      {1, 1}, {1, 5}, {5, 1}, {2, 2}, {48, 48}};
+  for (const int kernel : {3, 5}) {
+    for (const int in_c : {1, 5}) {
+      Conv2D conv(in_c, 3, kernel);
+      conv.init(rng);
+      EXPECT_EQ(conv.pad(), kernel / 2);
+      for (const auto& [h, w] : planes) {
+        const Tensor img = random_tensor({2, in_c, h, w}, rng);
+        const std::string what = "k" + std::to_string(kernel) + " c" +
+                                 std::to_string(in_c) + " " +
+                                 std::to_string(h) + "x" + std::to_string(w);
+        expect_forward_matches_oracle(conv, img, what.c_str());
+      }
+    }
+  }
+}
+
+// One conv instance through shrinking and growing geometries: its im2col
+// scratch keeps whatever the previous call wrote, including where this
+// geometry has padding (4x4 -> 2x8 -> 8x2 keep the same plane size, so the
+// scratch is not even resized). Every call must match the oracle.
+TEST(ForwardTest, ConvScratchReuseAcrossGeometries) {
+  math::Rng rng(59);
+  Conv2D conv(2, 3, 3);
+  conv.init(rng);
+  const std::vector<std::pair<int, int>> planes = {
+      {48, 48}, {1, 1}, {6, 6}, {4, 4}, {2, 8}, {8, 2},
+      {1, 16},  {16, 1}, {3, 7}, {48, 48}, {2, 2}, {12, 10}};
+  Tensor out;
+  for (std::size_t i = 0; i < planes.size(); ++i) {
+    const auto [h, w] = planes[i];
+    const Tensor img = random_tensor({1 + static_cast<int>(i % 3), 2, h, w}, rng);
+    conv.forward(img, out, /*training=*/i % 2 == 1);
+    expect_same_bits(out, oracle::forward(conv, img),
+                     "step " + std::to_string(i) + ": " + std::to_string(h) +
+                         "x" + std::to_string(w));
+  }
 }
 
 // Backward reads only what the training forward recorded: ReLU's mask,
@@ -564,7 +647,7 @@ TEST(ForwardTest, TrainingForwardRecordsWhatBackwardNeeds) {
                    "flatten");
 
   // Conv2D and Dense: against a twin whose input stays intact.
-  Conv2D conv(3, 4, 3, 1);
+  Conv2D conv(3, 4, 3);
   conv.init(rng);
   Conv2D conv_twin = conv;
   const Tensor g_conv = random_tensor({2, 4, 8, 8}, rng);
@@ -597,7 +680,7 @@ TEST(ForwardTest, TrainingForwardRecordsWhatBackwardNeeds) {
 TEST(GradCheckTest, StackThroughOneWorkspace) {
   math::Rng rng(13);
   Sequential net;
-  net.add<Conv2D>(2, 3, 3, 1);
+  net.add<Conv2D>(2, 3, 3);
   net.add<ReLU>();
   net.add<MaxPool2D>();
   net.add<Flatten>();
@@ -719,7 +802,7 @@ TEST(ForwardTest, SequentialForwardFollowsLoad) {
 TEST(ForwardTest, SequentialMatchesOracleThroughWorkspace) {
   math::Rng rng(77);
   Sequential net;
-  net.add<Conv2D>(2, 4, 3, 1);
+  net.add<Conv2D>(2, 4, 3);
   net.add<ReLU>();
   net.add<MaxPool2D>();
   net.add<Flatten>();
