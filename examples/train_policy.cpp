@@ -112,6 +112,9 @@ int main(int argc, char** argv) {
                 "%d/%d episodes parked\n",
                 stats.samples, stats.forward_samples, stats.reverse_samples,
                 stats.episodes_succeeded, stats.episodes_run);
+    // Train on what the cache holds, as sim::get_or_train_policy does, so
+    // a rerun from the cached dataset writes the same policy.
+    dataset.quantize();
     dataset.save(dataset_path);
   }
 

@@ -100,19 +100,35 @@ std::pair<nn::Tensor, std::vector<int>> Dataset::make_batch(std::size_t begin,
 }
 
 namespace {
-// v1 files predate per-sample provenance; load() still accepts them.
+// v1 files predate per-sample provenance; load() still accepts them. v1 and
+// v2 store pixels with the codec of decode_v2, v3 with that of encode.
 constexpr std::uint32_t kDatasetMagicV1 = 0x1C011D5Eu;
 constexpr std::uint32_t kDatasetMagicV2 = 0x1C011D5Fu;
+constexpr std::uint32_t kDatasetMagicV3 = 0x1C011D60u;
+static_assert(Dataset::kFormatVersion == 3,
+              "save() writes kDatasetMagicV3; keep the two in step");
 
-// The speed channel holds values in [-1, 1]; map [-1,1] -> [0,255].
-std::uint8_t quantize(float v) {
+// Values are clamped to [-1, 1] and stored as q = round(127 v) + 127 in
+// [0, 254], so -1, 0 and 1 (every occupancy pixel) round-trip exactly and
+// the speed channel is within half a step, 1/254.
+std::uint8_t encode(float v) {
   const float clamped = std::clamp(v, -1.0f, 1.0f);
-  return static_cast<std::uint8_t>(std::lround((clamped + 1.0f) * 127.5f));
+  return static_cast<std::uint8_t>(std::lround(clamped * 127.0f) + 127);
 }
-float dequantize(std::uint8_t q) {
+float decode(std::uint8_t q) {
+  return static_cast<float>(static_cast<int>(q) - 127) / 127.0f;
+}
+// The v1/v2 codec mapped [-1, 1] onto [0, 255], which has no code for 0:
+// an empty pixel came back as 1/255.
+float decode_v2(std::uint8_t q) {
   return static_cast<float>(q) / 127.5f - 1.0f;
 }
 }  // namespace
+
+void Dataset::quantize() {
+  for (Sample& s : samples_)
+    for (float& v : s.observation.data()) v = decode(encode(v));
+}
 
 bool Dataset::save(const std::string& path) const {
   std::ofstream f(path, std::ios::binary);
@@ -122,7 +138,7 @@ bool Dataset::save(const std::string& path) const {
       samples_.empty() ? 0 : static_cast<std::uint32_t>(samples_[0].observation.channels());
   const std::uint32_t size =
       samples_.empty() ? 0 : static_cast<std::uint32_t>(samples_[0].observation.size());
-  f.write(reinterpret_cast<const char*>(&kDatasetMagicV2), sizeof(kDatasetMagicV2));
+  f.write(reinterpret_cast<const char*>(&kDatasetMagicV3), sizeof(kDatasetMagicV3));
   f.write(reinterpret_cast<const char*>(&n), sizeof(n));
   f.write(reinterpret_cast<const char*>(&channels), sizeof(channels));
   f.write(reinterpret_cast<const char*>(&size), sizeof(size));
@@ -141,7 +157,7 @@ bool Dataset::save(const std::string& path) const {
     f.write(reinterpret_cast<const char*>(&s.difficulty), sizeof(s.difficulty));
     buffer.resize(s.observation.num_values());
     for (std::size_t i = 0; i < buffer.size(); ++i)
-      buffer[i] = quantize(s.observation.data()[i]);
+      buffer[i] = encode(s.observation.data()[i]);
     f.write(reinterpret_cast<const char*>(buffer.data()),
             static_cast<std::streamsize>(buffer.size()));
   }
@@ -156,8 +172,13 @@ bool Dataset::load(const std::string& path) {
   f.read(reinterpret_cast<char*>(&n), sizeof(n));
   f.read(reinterpret_cast<char*>(&channels), sizeof(channels));
   f.read(reinterpret_cast<char*>(&size), sizeof(size));
-  if ((magic != kDatasetMagicV1 && magic != kDatasetMagicV2) || !f) return false;
-  const bool has_provenance = magic == kDatasetMagicV2;
+  if ((magic != kDatasetMagicV1 && magic != kDatasetMagicV2 &&
+       magic != kDatasetMagicV3) ||
+      !f)
+    return false;
+  const bool has_provenance = magic != kDatasetMagicV1;
+  float (*const decode_pixel)(std::uint8_t) =
+      magic == kDatasetMagicV3 ? decode : decode_v2;
 
   std::vector<std::string> families;
   if (has_provenance) {
@@ -210,7 +231,7 @@ bool Dataset::load(const std::string& path) {
       return false;
     s.observation = sense::BevImage(static_cast<int>(channels), static_cast<int>(size));
     for (std::size_t j = 0; j < buffer.size(); ++j)
-      s.observation.data()[j] = dequantize(buffer[j]);
+      s.observation.data()[j] = decode_pixel(buffer[j]);
     s.label = label;
     if (s.family >= 0 && static_cast<std::size_t>(s.family) >= families.size())
       s.family = -1;

@@ -69,13 +69,22 @@ class Dataset {
   std::pair<nn::Tensor, std::vector<int>> make_batch(std::size_t begin,
                                                      std::size_t count) const;
 
-  /// Persist to a compact binary file (pixels quantized to 8 bits — the
-  /// observations are occupancy masks plus one constant channel, so the
-  /// quantization is lossless in practice). Returns false on I/O error.
+  /// The file format `save` writes (3: provenance, and an 8-bit codec that
+  /// stores -1, 0 and 1 exactly). Part of the dataset cache key.
+  static constexpr int kFormatVersion = 3;
+
+  /// Replace every observation value with the one `save` stores for it and
+  /// `load` returns, so a fresh recording trains on exactly the data its
+  /// saved file will hold.
+  void quantize();
+
+  /// Persist to a compact binary file, pixels quantized to 8 bits: the
+  /// occupancy channels (0 or 1) are stored exactly, the speed channel to
+  /// within 1/254. Returns false on I/O error.
   bool save(const std::string& path) const;
-  /// Load a dataset saved by `save`. Replaces current contents. Accepts both
-  /// the current format and the pre-provenance v1 format (whose samples load
-  /// with family = -1).
+  /// Load a dataset saved by `save`. Replaces current contents. Accepts the
+  /// current format, v2 (same layout, older codec: 0 decodes as 1/255) and
+  /// the pre-provenance v1 format (whose samples load with family = -1).
   bool load(const std::string& path);
 
  private:

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "il/dataset.hpp"
 #include "mathkit/fnv.hpp"
 
 namespace icoil::sim {
@@ -110,6 +111,8 @@ std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
   h.add_int(expert.mix_start_classes ? 1 : 0);
   h.add_int(policy.bev_size);
   h.add_double(policy.bev_range);
+  // A cache written with another codec holds other values.
+  h.add_int(il::Dataset::kFormatVersion);
   return h.value();
 }
 
@@ -198,6 +201,9 @@ std::unique_ptr<il::IlPolicy> get_or_train_policy(
     ExpertRecorder recorder(options.expert, options.policy);
     ExpertStats stats;
     dataset = recorder.record(&stats);
+    // Train on what the dataset cache will hold, so a policy does not
+    // depend on whether its dataset was recorded or loaded.
+    dataset.quantize();
     if (options.verbose) {
       std::fprintf(stderr,
                    "[policy_store] %zu samples (%zu forward, %zu reverse), "

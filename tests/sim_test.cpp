@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -359,6 +362,8 @@ TEST(ExpertTest, DeterministicDataset) {
   }
 }
 
+// The codec stores every occupancy pixel (0 or 1) exactly and the speed
+// channel to within half a step, 1/254; quantize() gives the loaded values.
 TEST(ExpertTest, DatasetSaveLoadRoundTrip) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "icoil_dataset_test.bin").string();
@@ -371,13 +376,69 @@ TEST(ExpertTest, DatasetSaveLoadRoundTrip) {
   ASSERT_TRUE(a.save(path));
   il::Dataset b;
   ASSERT_TRUE(b.load(path));
+  il::Dataset a_quantized = a;
+  a_quantized.quantize();
   ASSERT_EQ(a.size(), b.size());
+  const std::size_t speed_begin = static_cast<std::size_t>(sense::kBevChannels) *
+                                  policy_cfg.bev_size * policy_cfg.bev_size;
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].label, b[i].label);
-    for (std::size_t j = 0; j < a[i].observation.num_values(); ++j)
-      ASSERT_NEAR(a[i].observation.data()[j], b[i].observation.data()[j],
-                  1.5f / 255.0f);
+    const std::vector<float>& va = a[i].observation.data();
+    const std::vector<float>& vb = b[i].observation.data();
+    for (std::size_t j = 0; j < va.size(); ++j) {
+      if (j < speed_begin) {
+        ASSERT_TRUE(va[j] == 0.0f || va[j] == 1.0f) << va[j];
+        ASSERT_EQ(std::memcmp(&va[j], &vb[j], sizeof(float)), 0)
+            << "sample " << i << " pixel " << j << ": " << va[j] << " -> "
+            << vb[j];
+      } else {
+        ASSERT_NEAR(va[j], vb[j], 1.0f / 254.0f + 1e-6f)
+            << "sample " << i << " speed value " << j;
+      }
+    }
+    ASSERT_EQ(std::memcmp(a_quantized[i].observation.data().data(), vb.data(),
+                          vb.size() * sizeof(float)),
+              0)
+        << "sample " << i;
   }
+  std::filesystem::remove(path);
+}
+
+// -1, 0 and 1 survive a save/load bit for bit; a v2 file (same layout,
+// magic 0x1C011D5F) still decodes with its own codec, whose byte 127 was
+// -1/255.
+TEST(ExpertTest, DatasetCodecExactOnZeroAndOne) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "icoil_codec_test.bin").string();
+  il::Dataset d;
+  sense::BevImage img(1, 2);
+  img.data() = {0.0f, 1.0f, -1.0f, 0.25f};
+  d.add({img, 3});
+  ASSERT_TRUE(d.save(path));
+  il::Dataset back;
+  ASSERT_TRUE(back.load(path));
+  ASSERT_EQ(back.size(), 1u);
+  const std::vector<float>& v = back[0].observation.data();
+  for (int j = 0; j < 3; ++j)
+    EXPECT_EQ(std::memcmp(&v[j], &img.data()[j], sizeof(float)), 0)
+        << j << ": " << v[j];
+  EXPECT_NEAR(v[3], 0.25f, 1.0f / 254.0f);
+
+  // Rewrite the magic to v2: the same bytes decode as q / 127.5 - 1.
+  std::vector<char> bytes;
+  {
+    std::ifstream f(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  const std::uint32_t v2 = 0x1C011D5Fu;
+  std::memcpy(bytes.data(), &v2, sizeof(v2));
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ASSERT_TRUE(back.load(path));
+  EXPECT_EQ(back[0].observation.data()[0], 127.0f / 127.5f - 1.0f);
+  EXPECT_EQ(back[0].observation.data()[1], 254.0f / 127.5f - 1.0f);
   std::filesystem::remove(path);
 }
 
@@ -522,6 +583,45 @@ TEST(PolicyStoreTest, TrainsAndCaches) {
   const auto ib = second->infer(obs);
   for (std::size_t i = 0; i < ia.probs.size(); ++i)
     EXPECT_FLOAT_EQ(ia.probs[i], ib.probs[i]);
+  std::filesystem::remove_all(dir);
+}
+
+// A policy trained right after recording and one retrained from the saved
+// dataset cache see the same values, so their weights are the same bits.
+TEST(PolicyStoreTest, FreshAndCachedDatasetTrainIdentically) {
+  const auto dir = std::filesystem::temp_directory_path() / "icoil_store_fresh";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  PolicyStoreOptions opts;
+  opts.cache_path = (dir / "policy.bin").string();
+  opts.dataset_cache_path = (dir / "dataset.bin").string();
+  opts.verbose = false;
+  opts.expert.episodes = 1;
+  opts.expert.frame_stride = 8;
+  opts.train.epochs = 1;
+  opts.policy.bev_size = 16;
+  opts.policy.conv_channels[0] = 2;
+  opts.policy.conv_channels[1] = 2;
+  opts.policy.conv_channels[2] = 4;
+  opts.policy.fc_sizes[0] = 8;
+  opts.policy.fc_sizes[1] = 8;
+  opts.policy.fc_sizes[2] = 8;
+
+  const auto fresh = get_or_train_policy(opts);
+  ASSERT_TRUE(std::filesystem::exists(dataset_cache_path(opts)));
+  ASSERT_TRUE(std::filesystem::remove(policy_cache_path(opts)));
+  const auto cached = get_or_train_policy(opts);
+
+  const auto a = fresh->network().params();
+  const auto b = cached->network().params();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    ASSERT_EQ(a[p]->value.size(), b[p]->value.size());
+    EXPECT_EQ(std::memcmp(a[p]->value.data(), b[p]->value.data(),
+                          a[p]->value.size() * sizeof(float)),
+              0)
+        << "param " << p;
+  }
   std::filesystem::remove_all(dir);
 }
 
