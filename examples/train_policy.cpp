@@ -1,4 +1,5 @@
-// Records expert demonstrations with the CO planner, trains the IL network
+// Records expert demonstrations with the CO planner (or loads them from the
+// dataset cache, through sim::get_or_record_dataset), trains the IL network
 // (section IV-A architecture, eqs. 2-3 objective) and reports the learning
 // curve plus the dataset composition — the workflow behind the paper's
 // "5171 samples, 300 epochs" setup, extended with cross-family training
@@ -8,7 +9,8 @@
 //                     [epochs] [expert-episodes]
 // Caches il_dataset-<fp>.bin / il_policy-<fp>.bin in the working directory,
 // keyed by a fingerprint of the curriculum + recorder + network spec, so
-// differently-trained policies never clobber each other.
+// differently-trained policies never clobber each other. The policy cache
+// is retrained and overwritten on every run.
 
 #include <cerrno>
 #include <cstdio>
@@ -20,7 +22,6 @@
 #include "il/trainer.hpp"
 #include "mission/mission.hpp"
 #include "sim/curriculum.hpp"
-#include "sim/expert.hpp"
 #include "sim/policy_store.hpp"
 
 namespace {
@@ -97,26 +98,9 @@ int main(int argc, char** argv) {
                 options.expert.curriculum.entries[i].label().c_str(),
                 options.expert.curriculum.entries[i].weight, counts[i]);
 
-  // Record (or load) the demonstration dataset under its fingerprint key.
-  const std::string dataset_path = sim::dataset_cache_path(options);
-  il::Dataset dataset;
-  if (dataset.load(dataset_path)) {
-    std::printf("loaded %zu cached samples from %s\n", dataset.size(),
-                dataset_path.c_str());
-  } else {
-    std::printf("recording %d expert episodes...\n", options.expert.episodes);
-    sim::ExpertRecorder recorder(options.expert, options.policy);
-    sim::ExpertStats stats;
-    dataset = recorder.record(&stats);
-    std::printf("recorded %zu samples (%zu forward-moving, %zu reverse-parking); "
-                "%d/%d episodes parked\n",
-                stats.samples, stats.forward_samples, stats.reverse_samples,
-                stats.episodes_succeeded, stats.episodes_run);
-    // Train on what the cache holds, as sim::get_or_train_policy does, so
-    // a rerun from the cached dataset writes the same policy.
-    dataset.quantize();
-    dataset.save(dataset_path);
-  }
+  // Load the demonstration dataset from its fingerprinted cache, or record
+  // and cache it: the same step get_or_train_policy takes.
+  const il::Dataset dataset = sim::get_or_record_dataset(options);
 
   // Dataset composition by scenario family (curriculum provenance).
   std::printf("\nsamples by scenario family:\n");

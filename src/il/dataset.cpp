@@ -52,17 +52,6 @@ std::map<std::string, std::size_t> Dataset::family_histogram() const {
   return hist;
 }
 
-Dataset Dataset::filter_family(const std::string& name) const {
-  Dataset out;
-  for (const Sample& s : samples_) {
-    if (family_name(s.family) != name) continue;
-    Sample copy = s;
-    copy.family = static_cast<std::int16_t>(out.intern_family(name));
-    out.add(std::move(copy));
-  }
-  return out;
-}
-
 void Dataset::shuffle(math::Rng& rng) {
   std::shuffle(samples_.begin(), samples_.end(), rng.engine());
 }
@@ -100,10 +89,8 @@ std::pair<nn::Tensor, std::vector<int>> Dataset::make_batch(std::size_t begin,
 }
 
 namespace {
-// v1 files predate per-sample provenance; load() still accepts them. v1 and
-// v2 store pixels with the codec of decode_v2, v3 with that of encode.
-constexpr std::uint32_t kDatasetMagicV1 = 0x1C011D5Eu;
-constexpr std::uint32_t kDatasetMagicV2 = 0x1C011D5Fu;
+// The only magic load() accepts. v1 (0x1C011D5E, no provenance) and v2
+// (0x1C011D5F, a codec with no code for 0) files fail to load.
 constexpr std::uint32_t kDatasetMagicV3 = 0x1C011D60u;
 static_assert(Dataset::kFormatVersion == 3,
               "save() writes kDatasetMagicV3; keep the two in step");
@@ -117,11 +104,6 @@ std::uint8_t encode(float v) {
 }
 float decode(std::uint8_t q) {
   return static_cast<float>(static_cast<int>(q) - 127) / 127.0f;
-}
-// The v1/v2 codec mapped [-1, 1] onto [0, 255], which has no code for 0:
-// an empty pixel came back as 1/255.
-float decode_v2(std::uint8_t q) {
-  return static_cast<float>(q) / 127.5f - 1.0f;
 }
 }  // namespace
 
@@ -172,29 +154,21 @@ bool Dataset::load(const std::string& path) {
   f.read(reinterpret_cast<char*>(&n), sizeof(n));
   f.read(reinterpret_cast<char*>(&channels), sizeof(channels));
   f.read(reinterpret_cast<char*>(&size), sizeof(size));
-  if ((magic != kDatasetMagicV1 && magic != kDatasetMagicV2 &&
-       magic != kDatasetMagicV3) ||
-      !f)
-    return false;
-  const bool has_provenance = magic != kDatasetMagicV1;
-  float (*const decode_pixel)(std::uint8_t) =
-      magic == kDatasetMagicV3 ? decode : decode_v2;
+  if (magic != kDatasetMagicV3 || !f) return false;
 
+  std::uint32_t count = 0;
+  f.read(reinterpret_cast<char*>(&count), sizeof(count));
+  if (!f || count > 0xFFFF) return false;
   std::vector<std::string> families;
-  if (has_provenance) {
-    std::uint32_t count = 0;
-    f.read(reinterpret_cast<char*>(&count), sizeof(count));
-    if (!f || count > 0xFFFF) return false;
-    families.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t len = 0;
-      f.read(reinterpret_cast<char*>(&len), sizeof(len));
-      if (!f || len > 4096) return false;
-      std::string name(len, '\0');
-      f.read(name.data(), static_cast<std::streamsize>(len));
-      if (!f) return false;
-      families.push_back(std::move(name));
-    }
+  families.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint32_t len = 0;
+    f.read(reinterpret_cast<char*>(&len), sizeof(len));
+    if (!f || len > 4096) return false;
+    std::string name(len, '\0');
+    f.read(name.data(), static_cast<std::streamsize>(len));
+    if (!f) return false;
+    families.push_back(std::move(name));
   }
 
   // Every record has the same size, so the header must account for the
@@ -209,9 +183,8 @@ bool Dataset::load(const std::string& path) {
   if (channels > 0xFFFF || size > 0xFFFF) return false;
   const std::uint64_t pixels = std::uint64_t{channels} * size * size;
   if (n > 0 && pixels == 0) return false;
-  const std::uint64_t provenance =
-      has_provenance ? sizeof(Sample::family) + sizeof(Sample::difficulty) : 0;
-  const std::uint64_t record = sizeof(std::int32_t) + provenance + pixels;
+  const std::uint64_t record = sizeof(std::int32_t) + sizeof(Sample::family) +
+                               sizeof(Sample::difficulty) + pixels;
   if (remaining % record != 0 || remaining / record != n) return false;
 
   std::vector<Sample> loaded;
@@ -221,17 +194,15 @@ bool Dataset::load(const std::string& path) {
     std::int32_t label = 0;
     f.read(reinterpret_cast<char*>(&label), sizeof(label));
     Sample s;
-    if (has_provenance) {
-      f.read(reinterpret_cast<char*>(&s.family), sizeof(s.family));
-      f.read(reinterpret_cast<char*>(&s.difficulty), sizeof(s.difficulty));
-    }
+    f.read(reinterpret_cast<char*>(&s.family), sizeof(s.family));
+    f.read(reinterpret_cast<char*>(&s.difficulty), sizeof(s.difficulty));
     f.read(reinterpret_cast<char*>(buffer.data()),
            static_cast<std::streamsize>(buffer.size()));
     if (!f || label < 0 || label >= ActionDiscretizer::num_classes())
       return false;
     s.observation = sense::BevImage(static_cast<int>(channels), static_cast<int>(size));
     for (std::size_t j = 0; j < buffer.size(); ++j)
-      s.observation.data()[j] = decode_pixel(buffer[j]);
+      s.observation.data()[j] = decode(buffer[j]);
     s.label = label;
     if (s.family >= 0 && static_cast<std::size_t>(s.family) >= families.size())
       s.family = -1;

@@ -15,8 +15,8 @@ namespace icoil::il {
 /// One behaviour-cloning sample: a BEV observation, the expert's discretized
 /// action class, and recording provenance — which scenario family and
 /// difficulty produced it. `family` indexes the owning Dataset's family-name
-/// table (-1 = unknown, e.g. legacy files); `difficulty` is the numeric
-/// value of world::Difficulty at record time.
+/// table (-1 = unknown: a sample added without one); `difficulty` is the
+/// numeric value of world::Difficulty at record time.
 struct Sample {
   sense::BevImage observation;
   int label = 0;
@@ -27,8 +27,8 @@ struct Sample {
 /// The demonstration dataset D of eq. (2). Stores samples, shuffles
 /// deterministically, splits train/validation and assembles batch tensors.
 /// Samples carry provenance (scenario family + difficulty) through
-/// serialization so a trained policy's data composition can be reported and
-/// filtered after the fact.
+/// serialization so a trained policy's data composition can be reported
+/// after the fact.
 class Dataset {
  public:
   void add(Sample sample) { samples_.push_back(std::move(sample)); }
@@ -52,12 +52,9 @@ class Dataset {
   /// Per-class sample counts (distribution diagnostics / class balance).
   std::vector<std::size_t> class_histogram(int num_classes) const;
 
-  /// Sample counts keyed by scenario-family name (legacy samples without
+  /// Sample counts keyed by scenario-family name (samples without
   /// provenance count under "unknown").
   std::map<std::string, std::size_t> family_histogram() const;
-
-  /// The subset of samples recorded from scenario family `name`.
-  Dataset filter_family(const std::string& name) const;
 
   void shuffle(math::Rng& rng);
 
@@ -82,9 +79,9 @@ class Dataset {
   /// occupancy channels (0 or 1) are stored exactly, the speed channel to
   /// within 1/254. Returns false on I/O error.
   bool save(const std::string& path) const;
-  /// Load a dataset saved by `save`. Replaces current contents. Accepts the
-  /// current format, v2 (same layout, older codec: 0 decodes as 1/255) and
-  /// the pre-provenance v1 format (whose samples load with family = -1).
+  /// Load a dataset saved by `save`. Replaces current contents on success;
+  /// returns false, keeping them, for anything but a well-formed file of
+  /// the current format (v1/v2 files too: their caches re-record).
   bool load(const std::string& path);
 
  private:

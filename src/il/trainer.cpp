@@ -11,6 +11,10 @@ namespace icoil::il {
 
 namespace {
 
+// Upper bound on the hardware-derived default worker count; see
+// TrainConfig::num_threads.
+constexpr int kTrainThreadCap = 8;
+
 void copy_params(const std::vector<nn::Param*>& src,
                  const std::vector<nn::Param*>& dst) {
   assert(src.size() == dst.size());
@@ -51,7 +55,7 @@ TrainReport Trainer::train(IlPolicy& policy, const Dataset& dataset,
 
   const int threads = core::TaskPool::recommended_workers(
       config_.num_threads, static_cast<int>(train_set.size()),
-      config_.thread_cap);
+      kTrainThreadCap);
 
   // One clone per gradient shard, each with its own workspace: layers
   // record activations for backward and forward into per-shard buffers.

@@ -16,15 +16,13 @@ struct TrainConfig {
   double learning_rate = 1e-3;
   double validation_fraction = 0.1;
   std::uint64_t shuffle_seed = 11u;
-  /// Worker threads for data-parallel gradient computation (0 = hardware).
-  /// Each batch splits into a fixed number of gradient shards
+  /// Worker threads for data-parallel gradient computation (0 = hardware,
+  /// capped at 8: gradient shards stop paying off beyond a handful of
+  /// workers at these batch sizes; an explicit request is honoured above
+  /// the cap). Each batch splits into a fixed number of gradient shards
   /// (Trainer::kShards) whatever the pool width, so the trained weights do
   /// not depend on the thread count.
   int num_threads = 0;
-  /// Upper bound on the hardware-derived default worker count (gradient
-  /// shards stop paying off beyond a handful of workers at these batch
-  /// sizes). An explicit num_threads request is honoured above the cap.
-  int thread_cap = 8;
 };
 
 struct EpochStats {

@@ -13,6 +13,11 @@
 
 namespace icoil::sim {
 
+namespace {
+// Upper bound on recorder worker threads (one episode per task).
+constexpr int kRecorderThreadCap = 16;
+}  // namespace
+
 ExpertRecorder::ExpertRecorder(ExpertConfig config,
                                il::IlPolicyConfig policy_config)
     : config_(config), policy_config_(policy_config) {
@@ -29,7 +34,7 @@ il::Dataset ExpertRecorder::record(ExpertStats* stats_out) const {
   std::vector<ExpertStats> episode_stats(static_cast<std::size_t>(config_.episodes));
 
   core::TaskPool pool(core::TaskPool::recommended_workers(
-      /*requested=*/0, config_.episodes, config_.thread_cap));
+      /*requested=*/0, config_.episodes, kRecorderThreadCap));
   for (int ep = 0; ep < config_.episodes; ++ep) {
     pool.submit([&, ep](const core::TaskPool::Context&) {
       const CurriculumEntry& entry =

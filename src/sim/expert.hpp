@@ -31,8 +31,6 @@ struct ExpertConfig {
   /// per-episode start class cycles random/close/remote regardless of the
   /// curriculum entry's start_class.
   bool mix_start_classes = true;
-  /// Upper bound on recorder worker threads.
-  int thread_cap = 16;
 };
 
 /// Statistics of a recording run.

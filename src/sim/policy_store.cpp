@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "il/dataset.hpp"
 #include "mathkit/fnv.hpp"
 
 namespace icoil::sim {
@@ -164,72 +163,70 @@ PolicyStoreOptions default_policy_options() {
   return options;
 }
 
+il::Dataset get_or_record_dataset(const PolicyStoreOptions& options) {
+  const std::string path = dataset_cache_path(options);
+  il::Dataset dataset;
+  // A cached dataset is reused only if its images fit the network; any
+  // other shape would feed the first conv and dense layers out of bounds.
+  if (dataset.load(path) &&
+      (dataset.empty() ||
+       (dataset[0].observation.channels() == il::kObservationChannels &&
+        dataset[0].observation.size() == options.policy.bev_size))) {
+    std::fprintf(stderr, "[policy_store] loaded %zu cached samples from %s\n",
+                 dataset.size(), path.c_str());
+    return dataset;
+  }
+
+  std::fprintf(stderr,
+               "[policy_store] no usable dataset at %s; recording expert "
+               "demonstrations (%d episodes, curriculum \"%s\")...\n",
+               path.c_str(), options.expert.episodes,
+               options.expert.curriculum.name.c_str());
+  ExpertStats stats;
+  dataset = ExpertRecorder(options.expert, options.policy).record(&stats);
+  // Train on what the cache will hold, so a policy does not depend on
+  // whether its dataset was recorded or loaded.
+  dataset.quantize();
+  std::fprintf(stderr,
+               "[policy_store] %zu samples (%zu forward, %zu reverse), "
+               "%d/%d expert episodes parked\n",
+               stats.samples, stats.forward_samples, stats.reverse_samples,
+               stats.episodes_succeeded, stats.episodes_run);
+  for (const auto& [family, episodes] : stats.episodes_by_family)
+    std::fprintf(stderr, "[policy_store]   %-18s %d episodes\n",
+                 family.c_str(), episodes);
+  if (!dataset.save(path))
+    std::fprintf(stderr, "[policy_store] warning: could not save dataset to %s\n",
+                 path.c_str());
+  return dataset;
+}
+
 std::unique_ptr<il::IlPolicy> get_or_train_policy(
     const PolicyStoreOptions& options) {
   const std::string cache_path = policy_cache_path(options);
   auto policy = std::make_unique<il::IlPolicy>(options.policy);
   if (policy->load(cache_path)) {
-    if (options.verbose)
-      std::fprintf(stderr,
-                   "[policy_store] loaded cached policy from %s "
-                   "(curriculum \"%s\")\n",
-                   cache_path.c_str(), options.expert.curriculum.name.c_str());
+    std::fprintf(stderr,
+                 "[policy_store] loaded cached policy from %s "
+                 "(curriculum \"%s\")\n",
+                 cache_path.c_str(), options.expert.curriculum.name.c_str());
     return policy;
   }
 
-  if (options.verbose)
-    std::fprintf(stderr,
-                 "[policy_store] no cache at %s; recording expert "
-                 "demonstrations (%d episodes, curriculum \"%s\")...\n",
-                 cache_path.c_str(), options.expert.episodes,
-                 options.expert.curriculum.name.c_str());
-
-  il::Dataset dataset;
-  const std::string dataset_path =
-      options.dataset_cache_path.empty() ? std::string()
-                                         : dataset_cache_path(options);
-  // A cached dataset is reused only if its images fit the network; any
-  // other shape would feed the first conv and dense layers out of bounds.
-  if (!dataset_path.empty() && dataset.load(dataset_path) &&
-      (dataset.empty() ||
-       (dataset[0].observation.channels() == il::kObservationChannels &&
-        dataset[0].observation.size() == options.policy.bev_size))) {
-    if (options.verbose)
-      std::fprintf(stderr, "[policy_store] loaded %zu cached samples from %s\n",
-                   dataset.size(), dataset_path.c_str());
-  } else {
-    ExpertRecorder recorder(options.expert, options.policy);
-    ExpertStats stats;
-    dataset = recorder.record(&stats);
-    // Train on what the dataset cache will hold, so a policy does not
-    // depend on whether its dataset was recorded or loaded.
-    dataset.quantize();
-    if (options.verbose) {
-      std::fprintf(stderr,
-                   "[policy_store] %zu samples (%zu forward, %zu reverse), "
-                   "%d/%d expert episodes parked\n",
-                   stats.samples, stats.forward_samples, stats.reverse_samples,
-                   stats.episodes_succeeded, stats.episodes_run);
-      for (const auto& [family, episodes] : stats.episodes_by_family)
-        std::fprintf(stderr, "[policy_store]   %-18s %d episodes\n",
-                     family.c_str(), episodes);
-    }
-    if (!dataset_path.empty()) dataset.save(dataset_path);
-  }
-  if (options.verbose)
-    std::fprintf(stderr, "[policy_store] training %d epochs on %zu samples...\n",
-                 options.train.epochs, dataset.size());
+  std::fprintf(stderr, "[policy_store] no cache at %s\n", cache_path.c_str());
+  const il::Dataset dataset = get_or_record_dataset(options);
+  std::fprintf(stderr, "[policy_store] training %d epochs on %zu samples...\n",
+               options.train.epochs, dataset.size());
 
   il::Trainer trainer(options.train);
-  trainer.train(*policy, dataset, [&](const il::EpochStats& e) {
-    if (options.verbose)
-      std::fprintf(stderr,
-                   "[policy_store] epoch %d: loss %.4f, train acc %.3f, "
-                   "val acc %.3f\n",
-                   e.epoch, e.train_loss, e.train_accuracy, e.val_accuracy);
+  trainer.train(*policy, dataset, [](const il::EpochStats& e) {
+    std::fprintf(stderr,
+                 "[policy_store] epoch %d: loss %.4f, train acc %.3f, "
+                 "val acc %.3f\n",
+                 e.epoch, e.train_loss, e.train_accuracy, e.val_accuracy);
   });
 
-  if (!policy->save(cache_path) && options.verbose)
+  if (!policy->save(cache_path))
     std::fprintf(stderr, "[policy_store] warning: could not save cache to %s\n",
                  cache_path.c_str());
   return policy;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "il/dataset.hpp"
 #include "il/policy.hpp"
 #include "il/trainer.hpp"
 #include "sim/expert.hpp"
@@ -15,14 +16,13 @@ namespace icoil::sim {
 /// the training spec before the extension (see fingerprinted_path), so
 /// caches trained under a different curriculum / recorder / architecture
 /// spec are never silently reused and differently-trained policies coexist
-/// on disk.
+/// on disk. The store reports what it loads, records and trains on stderr.
 struct PolicyStoreOptions {
   std::string cache_path = "il_policy.bin";
   std::string dataset_cache_path = "il_dataset.bin";
   ExpertConfig expert;
   il::TrainConfig train;
   il::IlPolicyConfig policy;
-  bool verbose = true;
 };
 
 /// Fingerprint of everything that determines the recorded dataset: the
@@ -44,11 +44,18 @@ std::string fingerprinted_path(const std::string& path, std::uint64_t fingerprin
 std::string policy_cache_path(const PolicyStoreOptions& options);
 std::string dataset_cache_path(const PolicyStoreOptions& options);
 
+/// The demonstration dataset for `options`: loaded from dataset_cache_path
+/// when the file holds a v3 dataset whose images fit the network, otherwise
+/// recorded (per the configured curriculum), quantize()d and saved there.
+/// A fresh recording thus holds the values its cache will load, and a
+/// policy trained on either is the same bits.
+il::Dataset get_or_record_dataset(const PolicyStoreOptions& options);
+
 /// Loads the trained IL policy from the fingerprinted cache path if present,
-/// otherwise records expert demonstrations (per the configured curriculum),
-/// trains the network and saves it. Benches and examples share one trained
-/// policy per training spec this way, so the (one-time) training cost is
-/// amortized across the whole harness.
+/// otherwise trains the network on get_or_record_dataset and saves it.
+/// Benches and examples share one trained policy per training spec this
+/// way, so the (one-time) training cost is amortized across the whole
+/// harness.
 std::unique_ptr<il::IlPolicy> get_or_train_policy(
     const PolicyStoreOptions& options = {});
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <set>
 
 #include "il/observation.hpp"
@@ -135,11 +134,11 @@ TEST(CurriculumTest, ExpertRecordsProvenanceAcrossFamilies) {
               static_cast<std::uint8_t>(world::Difficulty::kEasy));
   }
 
-  // Filtering by family keeps exactly that family's samples.
-  const il::Dataset canonical_only = dataset.filter_family("canonical");
-  EXPECT_EQ(canonical_only.size(), hist.at("canonical"));
-  for (std::size_t i = 0; i < canonical_only.size(); ++i)
-    EXPECT_EQ(canonical_only.family_name(canonical_only[i].family), "canonical");
+  // The histogram counts each sample under its own family's name.
+  std::size_t canonical = 0;
+  for (std::size_t i = 0; i < dataset.size(); ++i)
+    canonical += dataset.family_name(dataset[i].family) == "canonical";
+  EXPECT_EQ(canonical, hist.at("canonical"));
 }
 
 TEST(CurriculumTest, ProvenanceRoundTripsThroughSaveLoad) {
@@ -167,33 +166,6 @@ TEST(CurriculumTest, ProvenanceRoundTripsThroughSaveLoad) {
   std::filesystem::remove(path);
 }
 
-TEST(CurriculumTest, LegacyV1DatasetStillLoads) {
-  // Hand-write a pre-provenance (v1) file: magic, n=1, channels=1, size=2,
-  // then per sample label + raw pixels.
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "icoil_legacy_ds.bin").string();
-  {
-    std::ofstream f(path, std::ios::binary);
-    const std::uint32_t magic = 0x1C011D5Eu, n = 1, channels = 1, size = 2;
-    const std::int32_t label = 7;
-    const std::uint8_t pixels[4] = {0, 128, 255, 64};
-    f.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    f.write(reinterpret_cast<const char*>(&n), sizeof(n));
-    f.write(reinterpret_cast<const char*>(&channels), sizeof(channels));
-    f.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    f.write(reinterpret_cast<const char*>(&label), sizeof(label));
-    f.write(reinterpret_cast<const char*>(pixels), sizeof(pixels));
-  }
-  il::Dataset d;
-  ASSERT_TRUE(d.load(path));
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0].label, 7);
-  EXPECT_EQ(d[0].family, -1);  // no provenance in v1 files
-  EXPECT_EQ(d.family_name(d[0].family), "unknown");
-  EXPECT_EQ(d.family_histogram().at("unknown"), 1u);
-  std::filesystem::remove(path);
-}
-
 // ------------------------------------------------------------ cache keying
 
 TEST(PolicyStoreCurriculumTest, FingerprintMismatchForcesRetrain) {
@@ -205,7 +177,6 @@ TEST(PolicyStoreCurriculumTest, FingerprintMismatchForcesRetrain) {
   PolicyStoreOptions opts;
   opts.cache_path = (dir / "policy.bin").string();
   opts.dataset_cache_path = (dir / "dataset.bin").string();
-  opts.verbose = false;
   opts.expert.episodes = 1;
   opts.expert.frame_stride = 16;
   opts.train.epochs = 1;

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -404,9 +403,7 @@ TEST(ExpertTest, DatasetSaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
-// -1, 0 and 1 survive a save/load bit for bit; a v2 file (same layout,
-// magic 0x1C011D5F) still decodes with its own codec, whose byte 127 was
-// -1/255.
+// -1, 0 and 1 survive a save/load bit for bit.
 TEST(ExpertTest, DatasetCodecExactOnZeroAndOne) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "icoil_codec_test.bin").string();
@@ -423,43 +420,62 @@ TEST(ExpertTest, DatasetCodecExactOnZeroAndOne) {
     EXPECT_EQ(std::memcmp(&v[j], &img.data()[j], sizeof(float)), 0)
         << j << ": " << v[j];
   EXPECT_NEAR(v[3], 0.25f, 1.0f / 254.0f);
-
-  // Rewrite the magic to v2: the same bytes decode as q / 127.5 - 1.
-  std::vector<char> bytes;
-  {
-    std::ifstream f(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(f), {});
-  }
-  const std::uint32_t v2 = 0x1C011D5Fu;
-  std::memcpy(bytes.data(), &v2, sizeof(v2));
-  {
-    std::ofstream f(path, std::ios::binary);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  ASSERT_TRUE(back.load(path));
-  EXPECT_EQ(back[0].observation.data()[0], 127.0f / 127.5f - 1.0f);
-  EXPECT_EQ(back[0].observation.data()[1], 254.0f / 127.5f - 1.0f);
   std::filesystem::remove(path);
 }
 
-/// A hand-written pre-provenance (v1) dataset file: header, then per sample
-/// label + raw pixels; `extra` is appended after the samples.
-void write_v1_dataset(const std::string& path, std::uint32_t n,
-                      std::uint32_t channels, std::uint32_t size,
-                      const std::vector<std::int32_t>& labels,
-                      const std::string& extra = "") {
+/// A hand-written dataset file: the header (magic, n, channels, size), for
+/// v2/v3 an empty family table, then per sample the label, for v2/v3 the
+/// provenance (family -1, difficulty 0), and the pixels; `extra` is
+/// appended after the samples.
+void write_dataset(const std::string& path, std::uint32_t magic,
+                   std::uint32_t n, std::uint32_t channels, std::uint32_t size,
+                   const std::vector<std::int32_t>& labels,
+                   const std::string& extra = "") {
+  constexpr std::uint32_t kV1 = 0x1C011D5Eu;
   std::ofstream f(path, std::ios::binary);
-  const std::uint32_t header[4] = {0x1C011D5Eu, n, channels, size};
+  const std::uint32_t header[4] = {magic, n, channels, size};
   f.write(reinterpret_cast<const char*>(header), sizeof(header));
+  const std::uint32_t families = 0;
+  if (magic != kV1)
+    f.write(reinterpret_cast<const char*>(&families), sizeof(families));
   // Only small shapes carry samples; the huge ones are header-only.
   const std::vector<char> pixels(
       labels.empty() ? 0 : static_cast<std::size_t>(channels) * size * size,
       '\x40');
+  const std::int16_t family = -1;
+  const std::uint8_t difficulty = 0;
   for (const std::int32_t label : labels) {
     f.write(reinterpret_cast<const char*>(&label), sizeof(label));
+    if (magic != kV1) {
+      f.write(reinterpret_cast<const char*>(&family), sizeof(family));
+      f.write(reinterpret_cast<const char*>(&difficulty), sizeof(difficulty));
+    }
     f.write(pixels.data(), static_cast<std::streamsize>(pixels.size()));
   }
   f << extra;
+}
+
+constexpr std::uint32_t kDatasetV1 = 0x1C011D5Eu;
+constexpr std::uint32_t kDatasetV2 = 0x1C011D5Fu;
+constexpr std::uint32_t kDatasetV3 = 0x1C011D60u;
+
+// Only the format save() writes loads: a well-formed v1 or v2 file is
+// rejected, and the dataset keeps what it held.
+TEST(ExpertTest, DatasetLoadRejectsV1AndV2Files) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "icoil_old_format.bin").string();
+  write_dataset(path, kDatasetV3, 2, 1, 2, {3, 5});
+  il::Dataset d;
+  ASSERT_TRUE(d.load(path));
+  ASSERT_EQ(d.size(), 2u);
+  for (const std::uint32_t magic : {kDatasetV1, kDatasetV2}) {
+    write_dataset(path, magic, 1, 1, 2, {7});
+    EXPECT_FALSE(d.load(path)) << std::hex << magic;
+    ASSERT_EQ(d.size(), 2u);
+    EXPECT_EQ(d[0].label, 3);
+    EXPECT_EQ(d[1].label, 5);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(ExpertTest, DatasetLoadRejectsGarbage) {
@@ -474,34 +490,35 @@ TEST(ExpertTest, DatasetLoadRejectsGarbage) {
   EXPECT_FALSE(d.load("/nonexistent/nope.bin"));
 
   // The well-formed baseline the corruptions below start from.
-  write_v1_dataset(path, 1, 1, 2, {3});
+  write_dataset(path, kDatasetV3, 1, 1, 2, {3});
   ASSERT_TRUE(d.load(path));
   ASSERT_EQ(d.size(), 1u);
 
   // A sample count the file cannot hold: rejected before any allocation
   // (reserving 2^32 samples throws std::bad_alloc).
-  write_v1_dataset(path, 0xFFFFFFFFu, 1, 2, {3});
+  write_dataset(path, kDatasetV3, 0xFFFFFFFFu, 1, 2, {3});
   EXPECT_FALSE(d.load(path));
   // So is an image shape whose pixel count overflows what is left.
-  write_v1_dataset(path, 1, 0xFFFFFFFFu, 0xFFFFFFFFu, {});
+  write_dataset(path, kDatasetV3, 1, 0xFFFFFFFFu, 0xFFFFFFFFu, {});
   EXPECT_FALSE(d.load(path));
-  write_v1_dataset(path, 1, 0, 0, {3});
+  write_dataset(path, kDatasetV3, 1, 0, 0, {3});
   EXPECT_FALSE(d.load(path));
   // Truncated or trailing bytes.
-  write_v1_dataset(path, 2, 1, 2, {3});
+  write_dataset(path, kDatasetV3, 2, 1, 2, {3});
   EXPECT_FALSE(d.load(path));
-  write_v1_dataset(path, 1, 1, 2, {3}, "x");
+  write_dataset(path, kDatasetV3, 1, 1, 2, {3}, "x");
   EXPECT_FALSE(d.load(path));
 
-  // Labels outside [0, num_classes) would index the loss out of bounds.
+  // Labels outside [0, num_classes) would index the loss out of bounds,
+  // whether the file was written by hand or by save().
   for (const std::int32_t label :
        {99, -5, il::ActionDiscretizer::num_classes()}) {
-    write_v1_dataset(path, 1, 1, 2, {label});
-    EXPECT_FALSE(d.load(path)) << "v1 label " << label;
+    write_dataset(path, kDatasetV3, 1, 1, 2, {label});
+    EXPECT_FALSE(d.load(path)) << "hand-written label " << label;
     il::Dataset bad;
     bad.add({sense::BevImage(1, 2), label});
     ASSERT_TRUE(bad.save(path));
-    EXPECT_FALSE(d.load(path)) << "v2 label " << label;
+    EXPECT_FALSE(d.load(path)) << "saved label " << label;
   }
   // A rejected file leaves the last good contents in place.
   EXPECT_EQ(d.size(), 1u);
@@ -517,7 +534,6 @@ TEST(PolicyStoreTest, MismatchedDatasetShapeIsReRecorded) {
   PolicyStoreOptions opts;
   opts.cache_path = (dir / "policy.bin").string();
   opts.dataset_cache_path = (dir / "dataset.bin").string();
-  opts.verbose = false;
   opts.expert.episodes = 1;
   opts.expert.frame_stride = 16;
   opts.train.epochs = 1;
@@ -544,6 +560,45 @@ TEST(PolicyStoreTest, MismatchedDatasetShapeIsReRecorded) {
   std::filesystem::remove_all(dir);
 }
 
+// A cached dataset whose images fit the network is what the store returns:
+// it is loaded, not re-recorded over.
+TEST(PolicyStoreTest, CachedDatasetIsLoadedSampleForSample) {
+  const auto dir = std::filesystem::temp_directory_path() / "icoil_store_cached";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  PolicyStoreOptions opts;
+  opts.dataset_cache_path = (dir / "dataset.bin").string();
+  opts.expert.episodes = 1;
+  opts.policy.bev_size = 16;
+
+  // Labels and pixels no recording of this spec produces.
+  il::Dataset planted;
+  const int family = planted.intern_family("planted");
+  for (int i = 0; i < 5; ++i) {
+    sense::BevImage img(il::kObservationChannels, 16);
+    img.data()[static_cast<std::size_t>(i)] = 1.0f;
+    img.data().back() = -1.0f;
+    planted.add({img, (7 * i + 3) % il::ActionDiscretizer::num_classes(),
+                 static_cast<std::int16_t>(family), 2});
+  }
+  ASSERT_TRUE(planted.save(dataset_cache_path(opts)));
+
+  const il::Dataset got = get_or_record_dataset(opts);
+  ASSERT_EQ(got.size(), planted.size());
+  EXPECT_EQ(got.family_names(), planted.family_names());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].label, planted[i].label) << i;
+    EXPECT_EQ(got[i].family, planted[i].family) << i;
+    EXPECT_EQ(got[i].difficulty, planted[i].difficulty) << i;
+    const std::vector<float>& a = got[i].observation.data();
+    const std::vector<float>& b = planted[i].observation.data();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << i;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ------------------------------------------------------------ policy store
 
 TEST(PolicyStoreTest, TrainsAndCaches) {
@@ -552,7 +607,6 @@ TEST(PolicyStoreTest, TrainsAndCaches) {
   PolicyStoreOptions opts;
   opts.cache_path = (dir / "policy.bin").string();
   opts.dataset_cache_path = (dir / "dataset.bin").string();
-  opts.verbose = false;
   opts.expert.episodes = 1;
   opts.expert.frame_stride = 6;
   opts.train.epochs = 1;
@@ -595,7 +649,6 @@ TEST(PolicyStoreTest, FreshAndCachedDatasetTrainIdentically) {
   PolicyStoreOptions opts;
   opts.cache_path = (dir / "policy.bin").string();
   opts.dataset_cache_path = (dir / "dataset.bin").string();
-  opts.verbose = false;
   opts.expert.episodes = 1;
   opts.expert.frame_stride = 8;
   opts.train.epochs = 1;
