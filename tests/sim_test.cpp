@@ -423,6 +423,10 @@ TEST(ExpertTest, DatasetCodecExactOnZeroAndOne) {
   std::filesystem::remove(path);
 }
 
+constexpr std::uint32_t kDatasetV1 = 0x1C011D5Eu;
+constexpr std::uint32_t kDatasetV2 = 0x1C011D5Fu;
+constexpr std::uint32_t kDatasetV3 = 0x1C011D60u;
+
 /// A hand-written dataset file: the header (magic, n, channels, size), for
 /// v2/v3 an empty family table, then per sample the label, for v2/v3 the
 /// provenance (family -1, difficulty 0), and the pixels; `extra` is
@@ -431,12 +435,11 @@ void write_dataset(const std::string& path, std::uint32_t magic,
                    std::uint32_t n, std::uint32_t channels, std::uint32_t size,
                    const std::vector<std::int32_t>& labels,
                    const std::string& extra = "") {
-  constexpr std::uint32_t kV1 = 0x1C011D5Eu;
   std::ofstream f(path, std::ios::binary);
   const std::uint32_t header[4] = {magic, n, channels, size};
   f.write(reinterpret_cast<const char*>(header), sizeof(header));
   const std::uint32_t families = 0;
-  if (magic != kV1)
+  if (magic != kDatasetV1)
     f.write(reinterpret_cast<const char*>(&families), sizeof(families));
   // Only small shapes carry samples; the huge ones are header-only.
   const std::vector<char> pixels(
@@ -446,7 +449,7 @@ void write_dataset(const std::string& path, std::uint32_t magic,
   const std::uint8_t difficulty = 0;
   for (const std::int32_t label : labels) {
     f.write(reinterpret_cast<const char*>(&label), sizeof(label));
-    if (magic != kV1) {
+    if (magic != kDatasetV1) {
       f.write(reinterpret_cast<const char*>(&family), sizeof(family));
       f.write(reinterpret_cast<const char*>(&difficulty), sizeof(difficulty));
     }
@@ -454,10 +457,6 @@ void write_dataset(const std::string& path, std::uint32_t magic,
   }
   f << extra;
 }
-
-constexpr std::uint32_t kDatasetV1 = 0x1C011D5Eu;
-constexpr std::uint32_t kDatasetV2 = 0x1C011D5Fu;
-constexpr std::uint32_t kDatasetV3 = 0x1C011D60u;
 
 // Only the format save() writes loads: a well-formed v1 or v2 file is
 // rejected, and the dataset keeps what it held.
