@@ -58,7 +58,7 @@ void label_qp(benchmark::State& state, const co::TrajOptQp& qp, int iterations) 
 // The sparse solver of mathkit/qp.hpp on the QP above (arg: obstacle?).
 void BM_QpTrajoptSparse(benchmark::State& state) {
   const co::TrajOptQp qp = trajopt_qp(state.range(0) != 0);
-  const math::QpSolver solver(co::TrajOptConfig{}.qp);
+  math::QpSolver solver(co::TrajOptConfig{}.qp);
   int iterations = 0;
   for (auto _ : state) {
     const math::QpResult r = solver.solve(qp.problem);
@@ -74,7 +74,7 @@ BENCHMARK(BM_QpTrajoptSparse)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 // ended with (here a cold solve of the same QP).
 void BM_QpTrajoptSparseWarm(benchmark::State& state) {
   const co::TrajOptQp qp = trajopt_qp(state.range(0) != 0);
-  const math::QpSolver solver(co::TrajOptConfig{}.qp);
+  math::QpSolver solver(co::TrajOptConfig{}.qp);
   const math::QpResult previous = solver.solve(qp.problem);
   const math::QpWarmStart warm{qp.nominal, previous.y, previous.rho};
   int iterations = 0;
@@ -86,6 +86,28 @@ void BM_QpTrajoptSparseWarm(benchmark::State& state) {
   label_qp(state, qp, iterations);
 }
 BENCHMARK(BM_QpTrajoptSparseWarm)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The fixed cost of one solve: the QP above restarted from its own solution
+// with a 1-iteration cap, on one solver reused across calls as TrajOpt
+// reuses its solver across SQP rounds and frames. It times the validation,
+// the scaling, the KKT factorization and the result mapping around a
+// single ADMM iteration and residual check.
+void BM_QpTrajoptSetup(benchmark::State& state) {
+  const co::TrajOptQp qp = trajopt_qp(state.range(0) != 0);
+  math::QpSettings settings = co::TrajOptConfig{}.qp;
+  const math::QpResult solved = math::QpSolver(settings).solve(qp.problem);
+  const math::QpWarmStart warm{solved.x, solved.y, solved.rho};
+  settings.max_iterations = 1;
+  math::QpSolver solver(settings);
+  int iterations = 0;
+  for (auto _ : state) {
+    const math::QpResult r = solver.solve(qp.problem, warm);
+    iterations = r.iterations;
+    benchmark::DoNotOptimize(r.x.data());
+  }
+  label_qp(state, qp, iterations);
+}
+BENCHMARK(BM_QpTrajoptSetup)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // The same QPs through the dense reference solver the sparse one replaced
 // (tests/dense_qp_oracle.hpp): same iterates, dense P, A and LDLT.

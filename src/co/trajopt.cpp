@@ -9,7 +9,7 @@
 namespace icoil::co {
 
 TrajOpt::TrajOpt(TrajOptConfig config, vehicle::VehicleParams params)
-    : config_(config), params_(params), model_(params) {}
+    : config_(config), params_(params), model_(params), solver_(config.qp) {}
 
 std::vector<double> TrajOpt::disc_offsets() const {
   // Distribute disc centres evenly along the footprint length.
@@ -406,7 +406,7 @@ TrajOptResult TrajOpt::solve(const vehicle::State& current,
                              const std::vector<TargetPoint>& targets,
                              const std::vector<PredictedObstacle>& obstacles,
                              const geom::Aabb* bounds, const TrajOptResult* warm,
-                             const core::FrameContext* frame) const {
+                             const core::FrameContext* frame) {
   TrajOptResult res;
   const int H = config_.horizon;
   if (static_cast<int>(targets.size()) < H) return res;
@@ -419,7 +419,6 @@ TrajOptResult TrajOpt::solve(const vehicle::State& current,
     qp_warm.rho = warm->rho;
   }
   int prev_slacks = 0;
-  const math::QpSolver solver(config_.qp);
   for (int sqp = 0; sqp < config_.sqp_iterations; ++sqp) {
     // Frame-budget poll between SQP rounds: the first round always runs so
     // a deadline-pressed frame still gets a usable (best-so-far) control;
@@ -428,7 +427,7 @@ TrajOptResult TrajOpt::solve(const vehicle::State& current,
 
     const TrajOptQp qp = build_qp(current, targets, obstacles, bounds, nominal_u);
     math::QpResult sol =
-        solver.solve(qp.problem, qp_warm_start(qp, std::move(qp_warm), prev_slacks));
+        solver_.solve(qp.problem, qp_warm_start(qp, std::move(qp_warm), prev_slacks));
     if (!sol.ok() && sol.status != math::QpStatus::kMaxIterations) {
       // Singular/invalid — keep whatever nominal we have.
       break;

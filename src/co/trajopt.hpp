@@ -100,8 +100,17 @@ struct TrajOptQp {
 ///
 /// `solve` runs the SQP loop from its public steps: `initial_nominal`,
 /// then per round `build_qp`, `qp_warm_start`, a QP solve and `controls_of`.
+/// The QP solver, and with it its workspace, belongs to the TrajOpt: it is
+/// reused across the SQP rounds of a frame and across frames, so `solve` is
+/// not const and a TrajOpt serves one thread at a time.
 class TrajOpt {
  public:
+  /// Revision of the optimizer's algorithm, part of every expert-dataset
+  /// cache key (sim::dataset_fingerprint). Bump it whenever a change makes
+  /// `solve` return other controls for the same configuration.
+  /// 1: unscaled ADMM QP solves. 2: Ruiz-equilibrated QP solves.
+  static constexpr int kRevision = 2;
+
   TrajOpt(TrajOptConfig config, vehicle::VehicleParams params);
 
   const TrajOptConfig& config() const { return config_; }
@@ -118,7 +127,7 @@ class TrajOpt {
                       const std::vector<PredictedObstacle>& obstacles,
                       const geom::Aabb* bounds = nullptr,
                       const TrajOptResult* warm = nullptr,
-                      const core::FrameContext* frame = nullptr) const;
+                      const core::FrameContext* frame = nullptr);
 
   /// The nominal controls of the first SQP round: `warm` shifted by one
   /// step, or without it a braking profile from `current`.
@@ -159,6 +168,7 @@ class TrajOpt {
   TrajOptConfig config_;
   vehicle::VehicleParams params_;
   vehicle::BicycleModel model_;
+  math::QpSolver solver_;
 };
 
 }  // namespace icoil::co

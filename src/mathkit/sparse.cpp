@@ -72,7 +72,7 @@ Matrix CsrMatrix::to_dense() const {
   return d;
 }
 
-CsrMatrix CsrMatrix::transpose() const {
+CsrMatrix CsrMatrix::transpose(std::vector<int>* source) const {
   CsrMatrix t;
   t.rows = cols;
   t.cols = rows;
@@ -81,6 +81,7 @@ CsrMatrix CsrMatrix::transpose() const {
   for (int c = 0; c < cols; ++c) t.row_ptr[c + 1] += t.row_ptr[c];
   t.col.resize(col.size());
   t.val.resize(val.size());
+  if (source) source->resize(val.size());
   std::vector<int> next(t.row_ptr.begin(), t.row_ptr.end() - 1);
   // Rows are visited in order, so every row of the transpose lists its
   // entries by increasing column.
@@ -89,6 +90,7 @@ CsrMatrix CsrMatrix::transpose() const {
       const int dst = next[col[k]]++;
       t.col[dst] = r;
       t.val[dst] = val[k];
+      if (source) (*source)[dst] = k;
     }
   }
   return t;

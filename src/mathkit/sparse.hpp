@@ -32,7 +32,9 @@ struct CsrMatrix {
   /// Every nonzero entry of `m`.
   static CsrMatrix from_dense(const Matrix& m);
   Matrix to_dense() const;
-  CsrMatrix transpose() const;
+  /// With `source` set, also writes there, for each entry of the transpose,
+  /// the index of the entry of this matrix it copies.
+  CsrMatrix transpose(std::vector<int>* source = nullptr) const;
 
   std::size_t nnz() const { return val.size(); }
   /// rows + 1 non-decreasing row pointers from 0 to nnz, and column indices

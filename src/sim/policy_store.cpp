@@ -12,8 +12,10 @@ namespace {
 
 // Every CoPlannerConfig knob shapes the expert's demonstrations, so all of
 // it (including the nested trajopt / hybrid-A* configs) goes into the
-// dataset fingerprint. Field added to a config? Hash it here too.
-void hash_co_config(math::Fnv1a& h, const co::CoPlannerConfig& co) {
+// dataset fingerprint, and so does the optimizer's algorithm revision.
+// Field added to a config? Hash it here too.
+void hash_co_config(math::Fnv1a& h, const co::CoPlannerConfig& co, int revision) {
+  h.add_int(revision);
   const co::TrajOptConfig& t = co.trajopt;
   h.add_int(t.horizon);
   h.add_double(t.dt);
@@ -96,7 +98,7 @@ int env_int_or(const char* name, int fallback, int min_value) {
 }
 
 std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
-                                  const il::IlPolicyConfig& policy) {
+                                  const il::IlPolicyConfig& policy, int co_revision) {
   // ExpertRecorder normalizes an empty curriculum to canonical(); hash the
   // normalized form so both spellings share one cache.
   math::Fnv1a h(expert.curriculum.empty()
@@ -106,7 +108,7 @@ std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
   h.add_int(static_cast<std::int64_t>(expert.base_seed));
   h.add_int(expert.frame_stride);
   h.add_double(expert.dt);
-  hash_co_config(h, expert.co);
+  hash_co_config(h, expert.co, co_revision);
   h.add_int(expert.mix_start_classes ? 1 : 0);
   h.add_int(policy.bev_size);
   h.add_double(policy.bev_range);

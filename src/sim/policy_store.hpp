@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "co/trajopt.hpp"
 #include "il/dataset.hpp"
 #include "il/policy.hpp"
 #include "il/trainer.hpp"
@@ -26,10 +27,14 @@ struct PolicyStoreOptions {
 };
 
 /// Fingerprint of everything that determines the recorded dataset: the
-/// training curriculum plus the recorder knobs and the observation geometry
-/// (BEV size/range).
+/// training curriculum plus the recorder knobs, the CO expert's
+/// configuration and algorithm revision, and the observation geometry
+/// (BEV size/range). Cache keys use the default `co_revision`
+/// (co::TrajOpt::kRevision); another value gives the key a dataset recorded
+/// by that revision of the expert would have had.
 std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
-                                  const il::IlPolicyConfig& policy);
+                                  const il::IlPolicyConfig& policy,
+                                  int co_revision = co::TrajOpt::kRevision);
 
 /// Fingerprint of everything that determines the trained policy: the
 /// dataset fingerprint plus the network architecture and the training

@@ -379,7 +379,7 @@ TEST(TrajOptTest, SlackCountChangeKeepsStageWarmStart) {
   ASSERT_EQ(without.slacks, 0);
   ASSERT_GT(with.slacks, 0);
 
-  const math::QpSolver solver(cfg.qp);
+  math::QpSolver solver(cfg.qp);
   for (const auto& [from, to] : {std::pair{&without, &with}, std::pair{&with, &without}}) {
     const math::QpResult prev = solver.solve(from->problem, {from->nominal, {}, 0.0});
     ASSERT_TRUE(prev.ok());

@@ -1,12 +1,13 @@
 #pragma once
 
 // Dense reference implementation of the ADMM QP solver: the same OSQP
-// iteration as math::QpSolver (scaled-residual rho rule, sigma, alpha,
-// check cadence, tolerances, x/y/rho warm start) on dense P, A and A^T
-// with a dense O(n^3) LDLT refactored on every rho change. It is the differential oracle of the
-// sparse solver (qp_parity_test) and the baseline of its micro-benchmark.
-// Header-only, so every tests/*.cpp can include it without being linked
-// into an executable of its own.
+// iteration as math::QpSolver (the shared math::ruiz_equilibrate scaling,
+// unscaled termination, scaled-residual rho rule, sigma, alpha, check
+// cadence, tolerances, x/y/rho warm start) on dense P, A and A^T with a
+// dense O(n^3) LDLT refactored on every rho change. It is the differential
+// oracle of the sparse solver (qp_parity_test) and the baseline of its
+// micro-benchmark. Header-only, so every tests/*.cpp can include it
+// without being linked into an executable of its own.
 
 #include <algorithm>
 #include <cmath>
@@ -62,16 +63,27 @@ class DenseLdlt {
 };
 
 /// The dense ADMM solver. Validation is the sparse solver's
-/// (`QpProblem::valid`), so both reject the same inputs.
-inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
+/// (`QpProblem::valid`), so both reject the same inputs, and so is the
+/// equilibration (`math::ruiz_equilibrate`): the iteration below runs on
+/// the scaled problem and maps warm starts, residuals and results as
+/// math::QpSolver documents.
+inline math::QpResult dense_qp_solve(const math::QpProblem& caller,
                                      const math::QpSettings& settings = {},
                                      const math::QpWarmStart& warm = {}) {
   using math::Matrix;
   math::QpResult res;
-  if (!prob.valid()) {
+  if (!caller.valid()) {
     res.status = math::QpStatus::kInvalidProblem;
     return res;
   }
+  math::QpProblem prob = caller;
+  math::QpScaling scaling;
+  math::ruiz_equilibrate(prob, scaling);
+  const std::vector<double>& d = scaling.d;
+  const std::vector<double>& d_inv = scaling.d_inv;
+  const std::vector<double>& e = scaling.e;
+  const std::vector<double>& e_inv = scaling.e_inv;
+  const double c_inv = 1.0 / scaling.c;
   const std::size_t n = prob.num_vars();
   const std::size_t m = prob.num_constraints();
   const Matrix p = prob.p.to_dense();
@@ -81,6 +93,19 @@ inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
   res.rho = rho;
   const double sigma = settings.sigma;
   const double alpha = settings.alpha;
+  // x = D x' on the caller's problem, with its objective.
+  auto finish = [&](const std::vector<double>& x_scaled) {
+    res.x.resize(n);
+    for (std::size_t j = 0; j < n; ++j) res.x[j] = d[j] * x_scaled[j];
+    res.objective =
+        0.5 * math::dot(res.x, caller.p.apply(res.x)) + math::dot(caller.q, res.x);
+  };
+  // ‖w∘v‖∞, NaN-propagating as math::norm_inf is.
+  auto weighted_norm = [](const std::vector<double>& v, const std::vector<double>& w) {
+    std::vector<double> wv(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) wv[i] = w[i] * v[i];
+    return math::norm_inf(wv);
+  };
 
   if (m == 0) {
     Matrix k = p;
@@ -90,9 +115,8 @@ inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
       res.status = math::QpStatus::kSingularKkt;
       return res;
     }
-    res.x = f->solve(math::scale(prob.q, -1.0));
+    finish(f->solve(math::scale(prob.q, -1.0)));
     res.status = math::QpStatus::kSolved;
-    res.objective = 0.5 * math::dot(res.x, p.apply(res.x)) + math::dot(prob.q, res.x);
     return res;
   }
 
@@ -125,8 +149,12 @@ inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
     return res;
   }
 
-  std::vector<double> x = warm.x.size() == n ? warm.x : std::vector<double>(n, 0.0);
-  std::vector<double> y = warm.y.size() == m ? warm.y : std::vector<double>(m, 0.0);
+  // The warm start in the scaled problem: x' = x / D, y' = c y / E.
+  std::vector<double> x(n, 0.0), y(m, 0.0);
+  if (warm.x.size() == n)
+    for (std::size_t j = 0; j < n; ++j) x[j] = warm.x[j] * d_inv[j];
+  if (warm.y.size() == m)
+    for (std::size_t i = 0; i < m; ++i) y[i] = scaling.c * warm.y[i] * e_inv[i];
   std::vector<double> z = a.apply(x);
   for (std::size_t i = 0; i < m; ++i) z[i] = std::clamp(z[i], prob.l[i], prob.u[i]);
 
@@ -153,27 +181,38 @@ inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
 
     if (iter % settings.check_interval != 0 && iter != settings.max_iterations) continue;
 
+    // Residuals of the scaled problem, and of the caller's through D^-1,
+    // E^-1 and 1/c: termination tests the caller's, rho the scaled ones.
     const std::vector<double> ax = a.apply(x);
-    const double r_prim = math::norm_inf(math::sub(ax, z));
+    const std::vector<double> r_prim_vec = math::sub(ax, z);
     const std::vector<double> px = p.apply(x);
     const std::vector<double> aty = at.apply(y);
     std::vector<double> r_dual_vec(n);
     for (std::size_t i = 0; i < n; ++i) r_dual_vec[i] = px[i] + prob.q[i] + aty[i];
-    const double r_dual = math::norm_inf(r_dual_vec);
-    const double prim_scale = std::max(math::norm_inf(ax), math::norm_inf(z));
-    const double dual_scale =
-        std::max({math::norm_inf(px), math::norm_inf(aty), math::norm_inf(prob.q)});
-    const double eps_prim = settings.eps_abs + settings.eps_rel * prim_scale;
-    const double eps_dual = settings.eps_abs + settings.eps_rel * dual_scale;
+    const double r_prim = weighted_norm(r_prim_vec, e_inv);
+    const double r_dual = c_inv * weighted_norm(r_dual_vec, d_inv);
+    const double eps_prim =
+        settings.eps_abs +
+        settings.eps_rel * std::max(weighted_norm(ax, e_inv), weighted_norm(z, e_inv));
+    const double eps_dual =
+        settings.eps_abs +
+        settings.eps_rel * c_inv *
+            std::max({weighted_norm(px, d_inv), weighted_norm(aty, d_inv),
+                      weighted_norm(prob.q, d_inv)});
     res.primal_residual = r_prim;
     res.dual_residual = r_dual;
     if (r_prim <= eps_prim && r_dual <= eps_dual) {
       res.status = math::QpStatus::kSolved;
       break;
     }
-    if (settings.adaptive_rho && r_dual > 0.0 && r_prim > 0.0) {
-      const double ratio = std::sqrt((r_prim / std::max(prim_scale, 1e-10)) /
-                                     (r_dual / std::max(dual_scale, 1e-10)));
+    const double s_prim = math::norm_inf(r_prim_vec);
+    const double s_dual = math::norm_inf(r_dual_vec);
+    if (settings.adaptive_rho && s_dual > 0.0 && s_prim > 0.0) {
+      const double prim_scale = std::max(math::norm_inf(ax), math::norm_inf(z));
+      const double dual_scale =
+          std::max({math::norm_inf(px), math::norm_inf(aty), math::norm_inf(prob.q)});
+      const double ratio = std::sqrt((s_prim / std::max(prim_scale, 1e-10)) /
+                                     (s_dual / std::max(dual_scale, 1e-10)));
       if (ratio > 5.0 || ratio < 0.2) {
         rho = std::clamp(rho * ratio, 1e-6, 1e6);
         res.rho = rho;
@@ -187,10 +226,10 @@ inline math::QpResult dense_qp_solve(const math::QpProblem& prob,
   }
 
   if (res.status != math::QpStatus::kSolved) res.status = math::QpStatus::kMaxIterations;
-  res.x = std::move(x);
-  res.y = std::move(y);
   res.iterations = std::min(iter, settings.max_iterations);
-  res.objective = 0.5 * math::dot(res.x, p.apply(res.x)) + math::dot(prob.q, res.x);
+  finish(x);
+  res.y.resize(m);
+  for (std::size_t i = 0; i < m; ++i) res.y[i] = e[i] * y[i] * c_inv;
   return res;
 }
 

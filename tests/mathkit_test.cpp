@@ -220,6 +220,12 @@ TEST(CsrTest, ApplyAndTransposeMatchDense) {
   const Matrix back = m.transpose().to_dense().transpose();
   for (std::size_t i = 0; i < 3; ++i)
     for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(back(i, j), d(i, j));
+  // The entry map names the entry each transposed value copies.
+  std::vector<int> source;
+  const CsrMatrix t = m.transpose(&source);
+  EXPECT_EQ(source, (std::vector<int>{0, 2, 3, 1}));
+  for (std::size_t k = 0; k < source.size(); ++k)
+    EXPECT_EQ(t.val[k], m.val[static_cast<std::size_t>(source[k])]);
 }
 
 // -------------------------------------------------------------------- QP
@@ -317,7 +323,7 @@ TEST(QpTest, AdaptiveRhoUsesScaledResiduals) {
 TEST(QpTest, WarmStartCarriesRho) {
   QpSettings settings;
   settings.adaptive_rho = false;
-  const QpSolver solver(settings);
+  QpSolver solver(settings);
   const QpProblem p = [] {
     QpProblem q;
     q.p = CsrMatrix::from_dense(Matrix::identity(2) * 2.0);
@@ -337,6 +343,40 @@ TEST(QpTest, WarmStartCarriesRho) {
   const QpResult odd = solver.solve(p, {{1.0, 2.0, 3.0}, {4.0}, 0.0});
   EXPECT_EQ(odd.iterations, cold.iterations);
   EXPECT_EQ(odd.x, cold.x);
+}
+
+TEST(QpTest, RuizEquilibrationMatchesHandComputedPass) {
+  // Column norms of [P; A]: 100, 16 and 1e-6 (below 1e-4, so left alone);
+  // row norms of A: 100 and 0.25. One pass gives D = (0.1, 0.25, 1) and
+  // E = (0.1, 2); the scaled P has column norms 0.04, 1 and 1e-6, whose
+  // mean beats |Dq| = 0.2, so c = 1 / mean.
+  QpProblem p;
+  p.p = CsrMatrix::from_dense(Matrix{{4, 0, 0}, {0, 16, 0}, {0, 0, 1e-6}});
+  p.q = {2, 0, 0};
+  p.a = CsrMatrix::from_dense(Matrix{{100, 0, 0}, {0, 0.25, 0}});
+  p.l = {-1, 3};
+  p.u = {1, 3};
+  ASSERT_EQ(kRuizPasses, 1);
+  QpScaling s;
+  ruiz_equilibrate(p, s);
+  const double c = 1.0 / ((0.04 + 1.0 + 1e-6) / 3.0);
+  EXPECT_EQ(s.d, (std::vector<double>{0.1, 0.25, 1.0}));
+  EXPECT_EQ(s.e, (std::vector<double>{0.1, 2.0}));
+  EXPECT_DOUBLE_EQ(s.c, c);
+  for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(s.d_inv[j], 1.0 / s.d[j]);
+  for (std::size_t i = 0; i < 2; ++i) EXPECT_DOUBLE_EQ(s.e_inv[i], 1.0 / s.e[i]);
+  const Matrix ps = p.p.to_dense();
+  EXPECT_DOUBLE_EQ(ps(0, 0), 0.04 * c);
+  EXPECT_DOUBLE_EQ(ps(1, 1), c);
+  EXPECT_DOUBLE_EQ(ps(2, 2), 1e-6 * c);
+  EXPECT_DOUBLE_EQ(p.q[0], 0.2 * c);
+  const Matrix as = p.a.to_dense();
+  EXPECT_DOUBLE_EQ(as(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(as(1, 1), 0.125);
+  EXPECT_DOUBLE_EQ(p.l[0], -0.1);
+  EXPECT_DOUBLE_EQ(p.u[0], 0.1);
+  EXPECT_DOUBLE_EQ(p.l[1], 6.0);
+  EXPECT_DOUBLE_EQ(p.u[1], 6.0);
 }
 
 TEST(QpTest, RejectsInvalidProblem) {

@@ -4,10 +4,14 @@
 // status, on the iteration count to within one residual-check interval, and
 // on the solution to 1e-6 relative to its infinity norm.
 //
+// Both run on the problem scaled by the shared math::ruiz_equilibrate.
+//
 // The QPs are real trajectory-optimization QPs rebuilt through
 // co::TrajOpt::build_qp (every registered scenario family, seeded starts,
-// all SQP rounds) plus seeded random stage-structured QPs, the
-// unconstrained path and the singular-pivot path.
+// all SQP rounds) plus seeded random stage-structured QPs, the same QPs
+// with row and column magnitudes spread over 1e-3..1e3, the unconstrained
+// path and the singular-pivot path. Further cases pin the warm-start
+// mapping through the scaling and the solver's reuse of its KKT set-up.
 
 #include <gtest/gtest.h>
 
@@ -33,11 +37,13 @@ struct ParityStats {
   int iterations = 0;
   int max_diter = 0;
   int solved = 0;
+  int capped = 0;  // stopped at max_iterations
   double max_dx = 0.0;
 
   void record() const {
     ::testing::Test::RecordProperty("qps", qps);
     ::testing::Test::RecordProperty("solved", solved);
+    ::testing::Test::RecordProperty("capped", capped);
     ::testing::Test::RecordProperty("admm_iterations", iterations);
     ::testing::Test::RecordProperty("max_iteration_diff", max_diter);
     char dx[32];
@@ -65,6 +71,7 @@ math::QpResult expect_parity(const math::QpProblem& qp, const math::QpSettings& 
   }
   ++stats.qps;
   stats.solved += sparse.ok() ? 1 : 0;
+  stats.capped += sparse.status == math::QpStatus::kMaxIterations ? 1 : 0;
   stats.iterations += sparse.iterations;
   stats.max_diter = std::max(stats.max_diter, std::abs(sparse.iterations - dense.iterations));
   return sparse;
@@ -91,7 +98,7 @@ std::vector<co::TargetPoint> line_targets(const geom::Pose2& from, const geom::P
 TEST(QpParityTest, TrajOptQpsOfEveryFamilyMatchDenseOracle) {
   const co::TrajOptConfig config;
   const vehicle::VehicleParams params;
-  const co::TrajOpt opt(config, params);
+  co::TrajOpt opt(config, params);
   ParityStats stats;
   const auto families = world::GeneratorRegistry::instance().names();
   ASSERT_GE(families.size(), 8u);
@@ -142,12 +149,16 @@ TEST(QpParityTest, TrajOptQpsOfEveryFamilyMatchDenseOracle) {
   }
   EXPECT_GE(stats.qps, static_cast<int>(families.size()) * 2 * 3 * 2);
   EXPECT_GT(stats.with_slacks, stats.qps / 4);  // the slack block is exercised
+  // The tail gate: of these 144 QPs, 34 ran into the 500-iteration cap
+  // when the ADMM ran on the unscaled problem; the equilibrated solve
+  // leaves 1.
+  EXPECT_LE(stats.capped, 1);
   stats.record();
 }
 
 TEST(QpParityTest, TrajOptLayoutIsSlacksThenStages) {
   co::TrajOptConfig config;
-  const co::TrajOpt opt(config, vehicle::VehicleParams{});
+  co::TrajOpt opt(config, vehicle::VehicleParams{});
   vehicle::State s;
   s.speed = 1.0;
   const geom::Pose2 goal{8.0, 0.0, 0.0};
@@ -292,6 +303,124 @@ INSTANTIATE_TEST_SUITE_P(Horizons, RandomStageQp,
                                            StageCase{15, 0}, StageCase{15, 60},
                                            StageCase{30, 0}, StageCase{30, 120},
                                            StageCase{30, 300}));
+
+// `qp` after the change of variables x = S x~ and a row scaling R, with S
+// and R log-uniform over [10^-1.5, 10^1.5]: P~ = S P S, q~ = S q,
+// A~ = R A S, l~ = R l, u~ = R u. The solution is x / S, and the row and
+// column magnitudes now spread over about 1e-3..1e3.
+math::QpProblem badly_scaled(math::QpProblem qp, std::uint64_t seed) {
+  math::Rng rng(seed);
+  std::vector<double> col(qp.num_vars()), row(qp.num_constraints());
+  for (double& v : col) v = std::pow(10.0, rng.uniform(-1.5, 1.5));
+  for (double& v : row) v = std::pow(10.0, rng.uniform(-1.5, 1.5));
+  for (int r = 0; r < qp.p.rows; ++r)
+    for (int k = qp.p.row_ptr[r]; k < qp.p.row_ptr[r + 1]; ++k)
+      qp.p.val[k] *= col[r] * col[qp.p.col[k]];
+  for (int r = 0; r < qp.a.rows; ++r)
+    for (int k = qp.a.row_ptr[r]; k < qp.a.row_ptr[r + 1]; ++k)
+      qp.a.val[k] *= row[r] * col[qp.a.col[k]];
+  for (std::size_t j = 0; j < col.size(); ++j) qp.q[j] *= col[j];
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (qp.l[i] > -math::kQpInf) qp.l[i] *= row[i];
+    if (qp.u[i] < math::kQpInf) qp.u[i] *= row[i];
+  }
+  return qp;
+}
+
+TEST(QpParityTest, BadlyScaledStageQpsMatchDenseOracle) {
+  ParityStats stats;
+  const math::QpSettings settings;
+  for (const StageCase c :
+       {StageCase{5, 0}, StageCase{5, 20}, StageCase{15, 0}, StageCase{15, 60}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const math::QpProblem qp =
+          badly_scaled(random_stage_qp(c.horizon, c.slacks, seed * 31 + c.slacks),
+                       seed * 977 + c.horizon);
+      ASSERT_TRUE(qp.valid());
+      double lo = 1e300, hi = 0.0;
+      for (double v : qp.a.val) {
+        lo = std::min(lo, std::abs(v));
+        hi = std::max(hi, std::abs(v));
+      }
+      EXPECT_GT(hi / lo, 1e4);  // the spread this case is about
+      const math::QpResult cold = expect_parity(qp, settings, {}, stats, "cold");
+      EXPECT_TRUE(cold.ok());
+      math::QpWarmStart warm{cold.x, cold.y, cold.rho};
+      for (double& v : warm.x) v *= 1.01;
+      expect_parity(qp, settings, warm, stats, "warm");
+    }
+  }
+  stats.record();
+}
+
+// ------------------------------------------------------ warm start, reuse
+
+// A converged solve restarted from its own {x, y, rho} is at its fixed
+// point, so it stops at the first residual check. A warm start mapped into
+// the scaled problem with a wrong D, E or c starts elsewhere and runs on.
+TEST(QpParityTest, WarmStartRoundTripStopsAtFirstCheck) {
+  const math::QpSettings settings = co::TrajOptConfig{}.qp;
+  int cases = 0;
+  for (const StageCase c : {StageCase{5, 20}, StageCase{15, 60}, StageCase{30, 120}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const math::QpProblem qp =
+          badly_scaled(random_stage_qp(c.horizon, c.slacks, seed), seed + 100);
+      math::QpScaling scaling;
+      math::QpProblem scaled = qp;
+      math::ruiz_equilibrate(scaled, scaling);
+      ASSERT_NE(scaling.c, 1.0);  // every factor of the mapping is exercised
+      math::QpSolver solver(settings);
+      math::QpSettings long_run = settings;
+      long_run.max_iterations = 20000;
+      const math::QpResult first = math::QpSolver(long_run).solve(qp);
+      ASSERT_TRUE(first.ok());
+      const math::QpResult again = solver.solve(qp, {first.x, first.y, first.rho});
+      EXPECT_TRUE(again.ok());
+      EXPECT_EQ(again.iterations, settings.check_interval)
+          << "horizon " << c.horizon << " seed " << seed;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 9);
+}
+
+// One solver reused across QPs returns the bits a fresh solver returns,
+// whether the next QP repeats the pattern (the KKT analysis is kept) or
+// brings another one (it is rebuilt), and it still rejects a bad value on
+// a repeated pattern.
+TEST(QpParityTest, ReusedSolverMatchesFreshSolver) {
+  const math::QpSettings settings = co::TrajOptConfig{}.qp;
+  const math::QpProblem base = random_stage_qp(15, 60, 7);
+  // Same pattern, other values.
+  math::QpProblem moved = base;
+  for (double& v : moved.a.val) v *= 1.1;
+  for (double& v : moved.p.val) v *= 0.7;
+  for (double& v : moved.q) v += 0.5;
+  const math::QpProblem other = random_stage_qp(15, 20, 8);
+  const math::QpProblem sequence[] = {base, moved, base, other, moved, base};
+
+  math::QpSolver reused(settings);
+  ParityStats stats;
+  int step = 0;
+  for (const math::QpProblem& qp : sequence) {
+    const std::string what = "step " + std::to_string(step++);
+    const math::QpResult fresh = math::QpSolver(settings).solve(qp);
+    const math::QpResult r = reused.solve(qp);
+    EXPECT_EQ(r.status, fresh.status) << what;
+    EXPECT_EQ(r.iterations, fresh.iterations) << what;
+    EXPECT_EQ(r.rho, fresh.rho) << what;
+    EXPECT_EQ(r.x, fresh.x) << what;  // bit for bit
+    EXPECT_EQ(r.y, fresh.y) << what;
+    expect_parity(qp, settings, {}, stats, what);
+  }
+  math::QpProblem broken = base;
+  broken.q[3] = std::nan("");
+  EXPECT_EQ(reused.solve(broken).status, math::QpStatus::kInvalidProblem);
+  broken = base;
+  broken.l[2] = broken.u[2] + 1.0;
+  EXPECT_EQ(reused.solve(broken).status, math::QpStatus::kInvalidProblem);
+  EXPECT_EQ(reused.solve(base).x, math::QpSolver(settings).solve(base).x);
+}
 
 // ------------------------------------------------------------ edge paths
 

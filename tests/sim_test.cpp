@@ -708,5 +708,16 @@ TEST(PolicyStoreTest, DatasetFingerprintCoversPlannerAndQpFields) {
   }
 }
 
+TEST(PolicyStoreTest, DatasetFingerprintCoversTrajOptRevision) {
+  // A change to the CO expert's algorithm that keeps every config field
+  // reaches the cache key only through co::TrajOpt::kRevision: a dataset
+  // (and policy) recorded by another revision must not be reused.
+  const ExpertConfig expert;
+  const il::IlPolicyConfig policy;
+  const std::uint64_t key = dataset_fingerprint(expert, policy);
+  EXPECT_EQ(dataset_fingerprint(expert, policy, co::TrajOpt::kRevision), key);
+  EXPECT_NE(dataset_fingerprint(expert, policy, co::TrajOpt::kRevision - 1), key);
+}
+
 }  // namespace
 }  // namespace icoil::sim
