@@ -228,8 +228,11 @@ InfNorms inf_norms(const std::vector<double>& v, const std::vector<double>& w) {
   return out;
 }
 
+// Same shape, pattern and value count: a matrix that passes is as
+// well-formed as `y`, and its values fit `y`'s buffer.
 bool same_pattern(const CsrMatrix& x, const CsrMatrix& y) {
-  return x.rows == y.rows && x.cols == y.cols && x.row_ptr == y.row_ptr && x.col == y.col;
+  return x.rows == y.rows && x.cols == y.cols && x.row_ptr == y.row_ptr && x.col == y.col &&
+         x.val.size() == y.val.size();
 }
 
 void copy_values(const std::vector<double>& from, std::vector<double>& to) {

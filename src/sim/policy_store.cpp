@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "co/trajopt.hpp"
 #include "mathkit/fnv.hpp"
 
 namespace icoil::sim {
@@ -97,6 +98,10 @@ int env_int_or(const char* name, int fallback, int min_value) {
   return static_cast<int>(value);
 }
 
+namespace detail {
+
+// dataset_fingerprint with the expert's revision as a parameter, so a test
+// can show that another revision gives another key. Declared where used.
 std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
                                   const il::IlPolicyConfig& policy, int co_revision) {
   // ExpertRecorder normalizes an empty curriculum to canonical(); hash the
@@ -115,6 +120,13 @@ std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
   // A cache written with another codec holds other values.
   h.add_int(il::Dataset::kFormatVersion);
   return h.value();
+}
+
+}  // namespace detail
+
+std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
+                                  const il::IlPolicyConfig& policy) {
+  return detail::dataset_fingerprint(expert, policy, co::TrajOpt::kRevision);
 }
 
 std::uint64_t policy_fingerprint(const PolicyStoreOptions& options) {

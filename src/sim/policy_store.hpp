@@ -4,7 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "co/trajopt.hpp"
 #include "il/dataset.hpp"
 #include "il/policy.hpp"
 #include "il/trainer.hpp"
@@ -29,12 +28,9 @@ struct PolicyStoreOptions {
 /// Fingerprint of everything that determines the recorded dataset: the
 /// training curriculum plus the recorder knobs, the CO expert's
 /// configuration and algorithm revision, and the observation geometry
-/// (BEV size/range). Cache keys use the default `co_revision`
-/// (co::TrajOpt::kRevision); another value gives the key a dataset recorded
-/// by that revision of the expert would have had.
+/// (BEV size/range). The revision is co::TrajOpt::kRevision.
 std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
-                                  const il::IlPolicyConfig& policy,
-                                  int co_revision = co::TrajOpt::kRevision);
+                                  const il::IlPolicyConfig& policy);
 
 /// Fingerprint of everything that determines the trained policy: the
 /// dataset fingerprint plus the network architecture and the training

@@ -156,6 +156,33 @@ TEST(QpParityTest, TrajOptQpsOfEveryFamilyMatchDenseOracle) {
   stats.record();
 }
 
+// The cold H = 15 QP of micro_solvers' BM_QpTrajoptSparse/1 (a car at 1 m/s
+// beside a parked box): the one trajopt QP seen to converge more slowly
+// equilibrated than unscaled. The unscaled solver took 380 iterations; the
+// equilibrated one needs 530 and stops at the 500 cap. Tighten these
+// bounds when the solver improves on it.
+TEST(QpParityTest, ColdObstacleQpIterationsArePinned) {
+  const co::TrajOptConfig config;
+  const co::TrajOpt opt(config, vehicle::VehicleParams{});
+  vehicle::State s;
+  s.speed = 1.0;
+  std::vector<co::TargetPoint> targets;
+  for (int h = 1; h <= config.horizon; ++h)
+    targets.push_back({{1.0 * config.dt * h, 0.3, 0.0}, 1.0});
+  const std::vector<co::PredictedObstacle> obstacles{{{{2.5, 1.8}, 0.0, 2.2, 0.9}, {}}};
+  const co::TrajOptQp qp =
+      opt.build_qp(s, targets, obstacles, nullptr, opt.initial_nominal(s, nullptr));
+  ASSERT_GT(qp.slacks, 0);
+
+  const math::QpResult capped = math::QpSolver(config.qp).solve(qp.problem);
+  EXPECT_EQ(capped.status, math::QpStatus::kMaxIterations);
+  math::QpSettings long_run = config.qp;
+  long_run.max_iterations = 2000;
+  const math::QpResult done = math::QpSolver(long_run).solve(qp.problem);
+  EXPECT_TRUE(done.ok());
+  EXPECT_LE(done.iterations, 530);
+}
+
 TEST(QpParityTest, TrajOptLayoutIsSlacksThenStages) {
   co::TrajOptConfig config;
   co::TrajOpt opt(config, vehicle::VehicleParams{});
@@ -419,6 +446,15 @@ TEST(QpParityTest, ReusedSolverMatchesFreshSolver) {
   broken = base;
   broken.l[2] = broken.u[2] + 1.0;
   EXPECT_EQ(reused.solve(broken).status, math::QpStatus::kInvalidProblem);
+  // The pattern of `base` with one value too many or too few is malformed.
+  for (const int extra : {1, -1}) {
+    broken = base;
+    broken.a.val.resize(broken.a.val.size() + extra, 1.0);
+    EXPECT_EQ(reused.solve(broken).status, math::QpStatus::kInvalidProblem) << extra;
+    broken = base;
+    broken.p.val.resize(broken.p.val.size() + extra, 1.0);
+    EXPECT_EQ(reused.solve(broken).status, math::QpStatus::kInvalidProblem) << extra;
+  }
   EXPECT_EQ(reused.solve(base).x, math::QpSolver(settings).solve(base).x);
 }
 

@@ -14,6 +14,11 @@
 #include "sim/simulator.hpp"
 
 namespace icoil::sim {
+namespace detail {
+// policy_store.cpp: dataset_fingerprint for a given CO expert revision.
+std::uint64_t dataset_fingerprint(const ExpertConfig& expert,
+                                  const il::IlPolicyConfig& policy, int co_revision);
+}  // namespace detail
 namespace {
 
 /// A controller that always emits a fixed command — handy for forcing
@@ -715,8 +720,8 @@ TEST(PolicyStoreTest, DatasetFingerprintCoversTrajOptRevision) {
   const ExpertConfig expert;
   const il::IlPolicyConfig policy;
   const std::uint64_t key = dataset_fingerprint(expert, policy);
-  EXPECT_EQ(dataset_fingerprint(expert, policy, co::TrajOpt::kRevision), key);
-  EXPECT_NE(dataset_fingerprint(expert, policy, co::TrajOpt::kRevision - 1), key);
+  EXPECT_EQ(detail::dataset_fingerprint(expert, policy, co::TrajOpt::kRevision), key);
+  EXPECT_NE(detail::dataset_fingerprint(expert, policy, co::TrajOpt::kRevision - 1), key);
 }
 
 }  // namespace
