@@ -5,12 +5,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <utility>
 
 #include "co/reeds_shepp.hpp"
 #include "geom/angles.hpp"
+#include "mathkit/fnv.hpp"
 
 namespace icoil::co {
 
@@ -187,8 +189,8 @@ DijkstraCostMap::DijkstraCostMap(const world::DistanceField& field,
   // 82 = floor(58 * sqrt(2)), integer distances can only UNDERSHOOT the
   // exact octile distance (by < 0.04%) — slightly less tight, never
   // inadmissible — and monotone integer keys turn the O(log n) heap into
-  // O(1) circular buckets. This build cost is what the planner's heuristic
-  // pays on every plan() call, so it matters. Distances are exact integer
+  // O(1) circular buckets. The planner pays this build on every cache miss
+  // of DijkstraCostMap::shared (the first plan for a lot and goal). Distances are exact integer
   // sums, so the sweep is deterministic regardless of platform.
   constexpr std::int32_t kStraightTicks = 58;
   constexpr std::int32_t kDiagTicks = 82;  // floor(58 * sqrt(2))
@@ -251,6 +253,99 @@ double DijkstraCostMap::cell_cost(int ix, int iy) const {
   const std::size_t i = static_cast<std::size_t>(iy) * width_ + ix;
   if (blocked_[i] != 0 || cost_[i] == kUnreachable) return -1.0;
   return static_cast<double>(cost_[i]);
+}
+
+namespace {
+
+/// The process-wide cost-map cache. Entries sit in recency order, most
+/// recent last; a lookup scans the stored hashes and confirms a match on the
+/// full key, so a hash collision can only cost a rebuild, never return
+/// another key's map. Leaked like the LUT cache, for the same reason.
+struct CostMapCache {
+  struct Entry {
+    std::uint64_t hash = 0;
+    std::vector<double> key;
+    std::shared_ptr<const DijkstraCostMap> map;
+  };
+  std::mutex mutex;
+  std::vector<Entry> entries;
+};
+CostMapCache& costmap_cache() {
+  static CostMapCache* cache = new CostMapCache();
+  return *cache;
+}
+
+/// Every input bit of a map, flattened: bounds, resolution, goal,
+/// inflation, then each static's centre, heading and half extents.
+std::vector<double> costmap_key(const geom::Aabb& bounds,
+                                const std::vector<geom::Obb>& statics,
+                                double resolution, geom::Vec2 goal,
+                                double inflation) {
+  std::vector<double> key = {bounds.min.x, bounds.min.y, bounds.max.x,
+                             bounds.max.y, resolution,   goal.x,
+                             goal.y,       inflation};
+  key.reserve(key.size() + 5 * statics.size());
+  for (const geom::Obb& o : statics)
+    key.insert(key.end(), {o.center.x, o.center.y, o.heading, o.half_length,
+                           o.half_width});
+  return key;
+}
+
+/// Keys compare bit for bit, like the hash reads them (so -0.0 and 0.0 are
+/// two keys, and a NaN key still finds itself).
+bool same_key(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Finds `key` and marks it most recently used; nullptr on a miss. Caller
+/// holds the mutex.
+std::shared_ptr<const DijkstraCostMap> find_and_touch(
+    CostMapCache& cache, std::uint64_t hash, const std::vector<double>& key) {
+  auto& entries = cache.entries;
+  for (std::size_t i = entries.size(); i-- > 0;) {
+    if (entries[i].hash != hash || !same_key(entries[i].key, key)) continue;
+    std::rotate(entries.begin() + static_cast<std::ptrdiff_t>(i),
+                entries.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                entries.end());
+    return entries.back().map;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::shared_ptr<const DijkstraCostMap> DijkstraCostMap::shared(
+    const geom::Aabb& bounds, const std::vector<geom::Obb>& statics,
+    double resolution, geom::Vec2 goal, double inflation) {
+  std::vector<double> key =
+      costmap_key(bounds, statics, resolution, goal, inflation);
+  math::Fnv1a fnv;
+  fnv.add_bytes(key.data(), key.size() * sizeof(double));
+  const std::uint64_t hash = fnv.value();
+
+  CostMapCache& cache = costmap_cache();
+  {
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    if (auto map = find_and_touch(cache, hash, key)) return map;
+  }
+  // Build outside the lock: a lot-sized raster, EDT and sweep take tenths
+  // of a millisecond. Two threads racing on one key build the same bits,
+  // so whichever copy the cache keeps is correct.
+  auto built = std::make_shared<const DijkstraCostMap>(
+      world::DistanceField(bounds, statics, resolution), goal, inflation);
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  if (auto map = find_and_touch(cache, hash, key)) return map;
+  if (cache.entries.size() >= kSharedCacheEntries)
+    cache.entries.erase(cache.entries.begin());
+  cache.entries.push_back({hash, std::move(key), built});
+  return built;
+}
+
+std::size_t DijkstraCostMap::shared_cache_size() {
+  CostMapCache& cache = costmap_cache();
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  return cache.entries.size();
 }
 
 }  // namespace icoil::co

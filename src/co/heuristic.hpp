@@ -1,9 +1,13 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "geom/aabb.hpp"
+#include "geom/obb.hpp"
 #include "geom/pose2.hpp"
 #include "geom/vec2.hpp"
 #include "world/distance_field.hpp"
@@ -108,9 +112,30 @@ class DijkstraCostMap {
  public:
   /// 8-connected shortest-path deflation: octile / euclidean <= 1 / cos(pi/8).
   static constexpr double kOctileDeflate = 0.92387953251128674;
+  /// Most maps shared() keeps; the least recently used one goes first. An
+  /// entry is its raster (a byte + a float, 5 B per cell) plus its key. The
+  /// 16 perfbench corpus lots need 114k cells in all, about 0.6 MB, so 32
+  /// entries hold every (lot, goal) of one instance set with room for a
+  /// second, and stay under 2 MB unless the average lot passes 12k cells.
+  static constexpr std::size_t kSharedCacheEntries = 32;
 
   DijkstraCostMap(const world::DistanceField& field, geom::Vec2 goal,
                   double inflation);
+
+  /// The process-wide map cache: the map of
+  /// DijkstraCostMap(DistanceField(bounds, statics, resolution), goal,
+  /// inflation), built on the first request for that key and shared by
+  /// every later one — the replans of one lot, the windows of one episode
+  /// and every planner thread. A map is a pure function of its key (every
+  /// input bit: the bounds, each static's centre, heading and half extents,
+  /// the resolution, the goal and the inflation), so a plan is the same
+  /// whether its lookup hit or missed and whichever thread built the map.
+  /// Holds at most kSharedCacheEntries maps; a caller's pointer keeps an
+  /// evicted map alive.
+  static std::shared_ptr<const DijkstraCostMap> shared(
+      const geom::Aabb& bounds, const std::vector<geom::Obb>& statics,
+      double resolution, geom::Vec2 goal, double inflation);
+  static std::size_t shared_cache_size();
 
   int width() const { return width_; }
   int height() const { return height_; }

@@ -27,9 +27,7 @@ struct LutLattice {
 constexpr LutLattice kCoarseLut{0.7, 24.0, 36};
 constexpr LutLattice kFineLut{0.35, 12.0, 72};
 
-/// Substeps per motion primitive — a compile-time constant so every node
-/// carries its incoming arc inline (no per-node heap allocation).
-constexpr int kArcSubsteps = 4;
+constexpr int kArcSubsteps = HybridAStar::kArcSubsteps;
 
 /// Arena node: fixed-size, contiguous, POD-copyable. The incoming primitive
 /// arc lives inline; `arc_len` is how many of the slots are valid (always
@@ -52,24 +50,6 @@ struct QueueEntry {
     // is deterministic whenever two entries share an f value.
     return f != o.f ? f > o.f : node > o.node;
   }
-};
-
-/// One motion primitive precomputed in the node's local frame: substep
-/// offsets from the expanding pose plus the arc's fixed base cost. Per
-/// expansion only one sin/cos of the node heading and a handful of
-/// multiply-adds remain — tan(steer), the Euler chain and the cost terms
-/// are computed once per plan() instead of once per substep.
-struct ArcTemplate {
-  struct Sub {
-    double lx = 0.0;       ///< local-frame x offset
-    double ly = 0.0;       ///< local-frame y offset
-    double dheading = 0.0; ///< heading delta from the expanding pose
-  };
-  Sub sub[kArcSubsteps];
-  double steer = 0.0;
-  double base_cost = 0.0;  ///< step + steer penalty (direction-independent
-                           ///  terms folded in; switch/steer-change are not)
-  int direction = 1;
 };
 
 /// Flat open-addressed best-g table over packed grid keys: linear probing,
@@ -129,7 +109,35 @@ class BestGTable {
 }  // namespace
 
 HybridAStar::HybridAStar(HybridAStarConfig config, vehicle::VehicleParams params)
-    : config_(config), params_(params), model_(params) {}
+    : config_(config), params_(params), model_(params) {
+  // Motion-primitive templates: steer levels across [-max, +max] in both
+  // directions, substep geometry and base cost fixed by the config alone.
+  templates_.reserve(static_cast<std::size_t>(2 * config_.num_steer_levels));
+  for (const int dir : {1, -1}) {
+    for (int i = 0; i < config_.num_steer_levels; ++i) {
+      const double steer =
+          config_.steer_fraction *
+          (-params_.max_steer +
+           2.0 * params_.max_steer * i / (config_.num_steer_levels - 1));
+      ArcTemplate tmpl;
+      tmpl.direction = dir;
+      tmpl.steer = steer;
+      tmpl.base_cost =
+          config_.step * (dir < 0 ? config_.reverse_penalty : 1.0) +
+          config_.steer_penalty * std::abs(steer) * config_.step;
+      const double ds = dir * config_.step / kArcSubsteps;
+      const double yaw_rate = std::tan(steer) / params_.wheelbase;
+      double lx = 0.0, ly = 0.0, lh = 0.0;
+      for (int k = 0; k < kArcSubsteps; ++k) {
+        lx += ds * std::cos(lh);
+        ly += ds * std::sin(lh);
+        lh += ds * yaw_rate;
+        tmpl.sub[k] = {lx, ly, lh};
+      }
+      templates_.push_back(tmpl);
+    }
+  }
+}
 
 bool HybridAStar::pose_free(const geom::Pose2& pose,
                             const std::vector<geom::Obb>& obstacles,
@@ -184,7 +192,8 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
   // Dolgov et al.'s max of two lower bounds, over the euclidean floor: the
   // non-holonomic-without-obstacles Reeds-Shepp length (a coarse table max'd
   // with a fine near-field one) and the holonomic-with-obstacles Dijkstra
-  // cost-to-go, swept over a raster built here from the raw obstacles.
+  // cost-to-go, swept once per (lot, goal) over a raster of the raw
+  // obstacles and shared by every later plan on them.
   const auto shared_lut = [radius](const LutLattice& l) {
     return RsHeuristicLut::shared(
         {radius, l.xy_resolution, l.extent, l.heading_bins});
@@ -198,9 +207,8 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
       std::min(params_.width / 2.0,
                params_.length / 2.0 - std::abs(params_.center_offset)) +
       config_.obstacle_margin;
-  const DijkstraCostMap costmap(
-      world::DistanceField(bounds, obstacles, config_.costmap_resolution),
-      goal.position, axle_disc);
+  const auto costmap = DijkstraCostMap::shared(
+      bounds, obstacles, config_.costmap_resolution, goal.position, axle_disc);
 
   // The RS-table term only applies OUTSIDE the analytic-expansion disc.
   // Inside it the RS shot fires on every pop, so near-goal ordering
@@ -222,7 +230,7 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
       h = std::max(h, lut->value_rel(rel.x, rel.y, dth));
       h = std::max(h, lut_fine->value_rel(rel.x, rel.y, dth));
     }
-    const double d = costmap.cost_to_go(p.position);
+    const double d = costmap->cost_to_go(p.position);
     if (d > h) h = d;
     return h;
   };
@@ -249,35 +257,6 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
   }
   open.push({heuristic(start), 0});
   best_g.improve(key_of(start, 1), 0.0);
-
-  // Motion-primitive templates: steer levels across [-max, +max] in both
-  // directions, substep geometry and base cost precomputed once.
-  std::vector<ArcTemplate> templates;
-  templates.reserve(static_cast<std::size_t>(2 * config_.num_steer_levels));
-  for (const int dir : {1, -1}) {
-    for (int i = 0; i < config_.num_steer_levels; ++i) {
-      const double steer =
-          config_.steer_fraction *
-          (-params_.max_steer +
-           2.0 * params_.max_steer * i / (config_.num_steer_levels - 1));
-      ArcTemplate tmpl;
-      tmpl.direction = dir;
-      tmpl.steer = steer;
-      tmpl.base_cost =
-          config_.step * (dir < 0 ? config_.reverse_penalty : 1.0) +
-          config_.steer_penalty * std::abs(steer) * config_.step;
-      const double ds = dir * config_.step / kArcSubsteps;
-      const double yaw_rate = std::tan(steer) / params_.wheelbase;
-      double lx = 0.0, ly = 0.0, lh = 0.0;
-      for (int k = 0; k < kArcSubsteps; ++k) {
-        lx += ds * std::cos(lh);
-        ly += ds * std::sin(lh);
-        lh += ds * yaw_rate;
-        tmpl.sub[k] = {lx, ly, lh};
-      }
-      templates.push_back(tmpl);
-    }
-  }
 
   int expansions = 0;
   int pops_since_shot = config_.rs_shot_period;  // allow an immediate try
@@ -344,7 +323,7 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
     // node pose: one sin/cos per expansion, no allocation per node.
     const double ch = std::cos(snapshot.pose.heading);
     const double sh = std::sin(snapshot.pose.heading);
-    for (const ArcTemplate& tmpl : templates) {
+    for (const ArcTemplate& tmpl : templates_) {
       Node next;
       next.arc_len = kArcSubsteps;
       bool free = true;

@@ -49,9 +49,10 @@ struct HybridAStarConfig {
   double steer_fraction = 0.8;
   double rs_radius_factor = 1.35;
 
-  /// Cell size of the per-plan Dijkstra cost-to-go raster [m], built by
-  /// plan() itself from the raw obstacles. 0.4 m keeps the sweep under
-  /// ~0.5 ms on a lot-sized raster.
+  /// Cell size of the Dijkstra cost-to-go raster [m]. plan() builds it from
+  /// the raw obstacles on the first plan for a (lot, goal) and shares it
+  /// with every later one (DijkstraCostMap::shared). 0.4 m keeps a build
+  /// under ~0.5 ms on a lot-sized raster.
   double costmap_resolution = 0.4;
   /// Analytic-expansion throttle: inside rs_shot_radius every pop attempts
   /// the RS shot; outside, one attempt every rs_shot_period pops per
@@ -76,6 +77,10 @@ struct PlanStats {
 /// goal. Produces the reference waypoints {s*} the CO module tracks.
 class HybridAStar {
  public:
+  /// Substeps per motion primitive — a compile-time constant so every search
+  /// node carries its incoming arc inline (no per-node heap allocation).
+  static constexpr int kArcSubsteps = 4;
+
   HybridAStar(HybridAStarConfig config, vehicle::VehicleParams params);
 
   const HybridAStarConfig& config() const { return config_; }
@@ -108,9 +113,30 @@ class HybridAStar {
                  const geom::Aabb& bounds) const;
 
  private:
+  /// One motion primitive precomputed in the node's local frame: substep
+  /// offsets from the expanding pose plus the arc's fixed base cost. Per
+  /// expansion only one sin/cos of the node heading and a handful of
+  /// multiply-adds remain — tan(steer), the Euler chain and the cost terms
+  /// are computed once per planner instead of once per substep.
+  struct ArcTemplate {
+    struct Sub {
+      double lx = 0.0;        ///< local-frame x offset
+      double ly = 0.0;        ///< local-frame y offset
+      double dheading = 0.0;  ///< heading delta from the expanding pose
+    };
+    Sub sub[kArcSubsteps];
+    double steer = 0.0;
+    double base_cost = 0.0;  ///< step + steer penalty (direction-independent
+                             ///  terms folded in; switch/steer-change are not)
+    int direction = 1;
+  };
+
   HybridAStarConfig config_;
   vehicle::VehicleParams params_;
   vehicle::BicycleModel model_;
+  /// Forward then reverse, each across the steer levels (the expansion
+  /// order, so part of what makes plans deterministic).
+  std::vector<ArcTemplate> templates_;
 };
 
 }  // namespace icoil::co

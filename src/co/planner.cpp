@@ -139,10 +139,12 @@ void CoPlanner::rebuild_phases() {
   }
 }
 
-void CoPlanner::maybe_advance_phase(const vehicle::State& state) {
-  if (phase_ + 1 >= phases_.size()) return;
+void CoPlanner::maybe_advance_phase(const vehicle::State& state,
+                                    const core::FrameContext* frame) {
+  const bool last = phase_ + 1 >= phases_.size();
   const PathPhase& ph = phases_[phase_];
   if (ph.points.empty()) {
+    if (last) return;
     ++phase_;
     progress_ = 0;
     return;
@@ -153,21 +155,40 @@ void CoPlanner::maybe_advance_phase(const vehicle::State& state) {
       std::abs(geom::angle_diff(state.pose.heading, end_pose.heading));
   const bool slow = std::abs(state.speed) <= config_.phase_speed_tol;
 
-  bool advance = pos_err <= config_.phase_pos_tol &&
+  bool advance = !last && pos_err <= config_.phase_pos_tol &&
                  heading_err <= config_.phase_heading_tol && slow;
 
   // Stall escape: when parked against the switch point but not exactly on
-  // it, waiting forever is worse than starting the next maneuver.
-  if (!advance && slow && pos_err <= 3.0 * config_.phase_pos_tol) {
+  // it, waiting forever is worse than starting the next maneuver. In the
+  // last phase only a car whose progress has clamped at the phase end
+  // counts: before that its targets still lead to the goal.
+  const bool at_end = !last || progress_ + 1 >= ph.points.size();
+  bool stalled = false;
+  if (!advance && slow && at_end && pos_err <= 3.0 * config_.phase_pos_tol) {
     ++stall_frames_;
     const int limit =
         static_cast<int>(config_.stall_seconds / std::max(1e-3, config_.dt));
-    if (stall_frames_ >= limit) advance = true;
+    stalled = stall_frames_ >= limit;
   } else if (std::abs(state.speed) > config_.phase_speed_tol) {
     stall_frames_ = 0;
   }
 
-  if (advance) {
+  if (stalled && last) {
+    // Stalled at the end of the last phase, outside the goal tolerance (act
+    // holds still inside it): the targets there have zero speed, so nothing
+    // leads back to the goal. Re-plan from here to the same goal. The lot's
+    // cost-to-go is already cached, so this pays only for the search, and a
+    // failed search still gets the Reeds-Shepp fallback.
+    const geom::Pose2 goal = ref_.back().pose;
+    if (bounds_) {
+      plan_reference(state.pose, goal, static_obstacles_, *bounds_, frame);
+    } else {
+      ref_ = astar_.reeds_shepp_fallback(state.pose, goal);
+      reset_progress();
+    }
+    return;
+  }
+  if (advance || stalled) {
     ++phase_;
     progress_ = 0;
     stall_frames_ = 0;
@@ -246,7 +267,7 @@ vehicle::Command CoPlanner::act(const vehicle::State& state,
     return vehicle::Command::full_stop();
   }
 
-  maybe_advance_phase(state);
+  maybe_advance_phase(state, frame);
 
   const std::vector<TargetPoint> targets = build_targets(state);
   if (static_cast<int>(targets.size()) < config_.trajopt.horizon)

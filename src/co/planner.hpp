@@ -27,7 +27,7 @@ struct CoPlannerConfig {
   double phase_pos_tol = 0.45;      ///< [m]
   double phase_heading_tol = 0.25;  ///< [rad]
   double phase_speed_tol = 0.35;    ///< [m/s]
-  double stall_seconds = 3.0;       ///< advance anyway after stalling this long
+  double stall_seconds = 3.0;       ///< advance (last phase: re-plan) after stalling this long
   double dt = 0.05;                 ///< control period (for the stall clock)
   /// Straight run-through added at every direction switch: the vehicle
   /// crosses the switch pose aligned and at speed, stops on the extension,
@@ -113,7 +113,11 @@ class CoPlanner {
 
  private:
   void rebuild_phases();
-  void maybe_advance_phase(const vehicle::State& state);
+  /// Moves to the next phase once the vehicle reaches (or stalls next to)
+  /// the current phase's end; a stall at the end of the last phase re-plans
+  /// to the goal instead.
+  void maybe_advance_phase(const vehicle::State& state,
+                           const core::FrameContext* frame);
 
   CoPlannerConfig config_;
   vehicle::VehicleParams params_;

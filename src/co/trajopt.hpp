@@ -105,11 +105,12 @@ struct TrajOptQp {
 /// not const and a TrajOpt serves one thread at a time.
 class TrajOpt {
  public:
-  /// Revision of the optimizer's algorithm, part of every expert-dataset
+  /// Revision of the CO expert's algorithm, part of every expert-dataset
   /// cache key (sim::dataset_fingerprint). Bump it whenever a change makes
-  /// `solve` return other controls for the same configuration.
-  /// 1: unscaled ADMM QP solves. 2: Ruiz-equilibrated QP solves.
-  static constexpr int kRevision = 2;
+  /// `solve`, or the CoPlanner that feeds it, return other controls for the
+  /// same configuration. 1: unscaled ADMM QP solves. 2: Ruiz-equilibrated
+  /// QP solves. 3: CoPlanner re-plans a stall at the end of its last phase.
+  static constexpr int kRevision = 3;
 
   TrajOpt(TrajOptConfig config, vehicle::VehicleParams params);
 

@@ -38,10 +38,13 @@ nn::Sequential build_network(const IlPolicy::Config& c) {
 }  // namespace
 
 IlPolicy::IlPolicy(Config config, std::uint64_t init_seed)
-    : config_(config), net_(build_network(config)) {
+    : IlPolicy(config, NoInit{}) {
   math::Rng rng(init_seed);
   net_.init(rng);
 }
+
+IlPolicy::IlPolicy(Config config, NoInit)
+    : config_(config), net_(build_network(config)) {}
 
 Inference IlPolicy::inference_from_logits(const float* logits, int m) {
   Inference out;
@@ -65,7 +68,7 @@ Inference IlPolicy::infer(const sense::BevImage& observation) {
 }
 
 std::unique_ptr<IlPolicy> IlPolicy::clone() const {
-  auto copy = std::make_unique<IlPolicy>(config_);
+  std::unique_ptr<IlPolicy> copy(new IlPolicy(config_, NoInit{}));
   auto* self = const_cast<IlPolicy*>(this);
   const auto src = self->net_.params();
   const auto dst = copy->net_.params();

@@ -68,6 +68,11 @@ class IlPolicy {
   bool load(const std::string& path) { return nn::load_params(net_, path); }
 
  private:
+  /// Builds the network with every parameter zero and draws no seeded
+  /// init: clone() overwrites every parameter anyway.
+  struct NoInit {};
+  IlPolicy(Config config, NoInit);
+
   Config config_;
   nn::Sequential net_;
   nn::Tensor input_;       ///< infer()'s (1,C,H,W) input, reused per call

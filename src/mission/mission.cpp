@@ -7,6 +7,7 @@
 
 #include "mathkit/fnv.hpp"
 #include "sim/session.hpp"
+#include "vehicle/kinematics.hpp"
 
 namespace icoil::mission {
 
@@ -395,11 +396,26 @@ MissionResult Mission::run(core::Controller& controller,
   // the parked pose is nose-out, so the pull-out becomes one forward arc
   // that leaves the ego already pointed the right way — instead of parking
   // it mid-aisle facing the bay row, forcing the exit leg to open with a
-  // three-point turn in live traffic.
+  // three-point turn in live traffic. Unless that footprint overlaps a
+  // static box or a traffic agent where it stands now: no path reaches such
+  // a goal (the planner's search runs out and its fallback drives into the
+  // box), so the ego keeps the bay heading instead.
   const auto b = static_cast<std::size_t>(bay);
-  geom::Pose2 unpark_goal = TrafficSimulator::bay_staging_pose(base_.map, b);
+  const geom::Pose2 staging = TrafficSimulator::bay_staging_pose(base_.map, b);
+  geom::Pose2 unpark_goal = staging;
   unpark_goal.heading =
       (base_.start_pose.position - unpark_goal.position).angle();
+  {
+    const geom::Obb footprint =
+        vehicle::BicycleModel(vehicle::VehicleParams{}).footprint(unpark_goal);
+    const auto hits = [&](const world::Obstacle& o) {
+      return geom::overlaps(footprint, o.shape);
+    };
+    const std::vector<world::Obstacle> traffic = traffic_.roster(0);
+    if (std::any_of(statics_.begin(), statics_.end(), hits) ||
+        std::any_of(traffic.begin(), traffic.end(), hits))
+      unpark_goal = staging;
+  }
   res.legs.push_back(
       run_leg(LegType::kUnpark, bay, unpark_goal, -1, controller, cancel));
   if (res.legs.back().status != LegStatus::kCompleted) return finish(false);

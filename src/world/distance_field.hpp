@@ -14,7 +14,8 @@ namespace icoil::world {
 /// Euclidean distance transform (Felzenszwalb–Huttenlocher two-pass EDT):
 /// every cell stores the distance from its centre to the nearest occupied
 /// cell centre. The planner's Dijkstra cost-to-go (co::DijkstraCostMap)
-/// rasterizes the static obstacles once per plan and reads it per cell.
+/// rasterizes the static obstacles once per cached (lot, goal) map, reads
+/// it per cell while sweeping, and keeps only the swept costs.
 ///
 /// Conservativeness contract: the raster marks every cell whose centre lies
 /// within an obstacle inflated by the half cell diagonal, so every obstacle

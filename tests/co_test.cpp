@@ -551,6 +551,39 @@ TEST(CoPlannerTest, HoldsStillAtGoal) {
   EXPECT_GT(cmd.brake, 0.5);
 }
 
+TEST(CoPlannerTest, StallPastLastPhaseEndReplansToGoal) {
+  // A car stalled just past the end of the last phase, outside the goal
+  // tolerance: its targets all have zero speed, so only a re-plan from
+  // where it stands leads back to the goal.
+  const CoPlannerConfig cfg;
+  CoPlanner planner(cfg, vehicle::VehicleParams{});
+  const geom::Pose2 goal{15.0, 6.0, 0.0};
+  const geom::Aabb bounds{{0.0, 0.0}, {30.0, 12.0}};
+  planner.set_reference(HybridAStar(cfg.astar, vehicle::VehicleParams{})
+                            .reeds_shepp_fallback({5.0, 6.0, 0.0}, goal),
+                        {}, bounds);
+  ASSERT_EQ(planner.phases().size(), 1u);
+  vehicle::State s;
+  s.pose = {15.6, 6.3, 0.3};  // 0.67 m and 0.3 rad off the goal, at rest
+  s.speed = 0.0;
+  // The first frame moves progress to the phase end; each later one at rest
+  // counts toward the stall limit.
+  const int limit = static_cast<int>(cfg.stall_seconds / cfg.dt);
+  for (int frame = 0; frame < limit; ++frame) {
+    (void)planner.act(s, {});
+    ASSERT_EQ(planner.reference()[0].pose.position.x, 5.0) << frame;
+  }
+  (void)planner.act(s, {});
+  const RefPath& replanned = planner.reference();
+  ASSERT_FALSE(replanned.empty());
+  EXPECT_EQ(replanned[0].pose.position.x, s.pose.position.x);
+  EXPECT_EQ(replanned[0].pose.position.y, s.pose.position.y);
+  const geom::Pose2& end = replanned[replanned.size() - 1].pose;
+  EXPECT_EQ(end.position.x, goal.position.x);
+  EXPECT_EQ(end.position.y, goal.position.y);
+  EXPECT_EQ(end.heading, goal.heading);
+}
+
 TEST(HybridAStarTest, GridKeyPackingDoesNotAlias) {
   // Pairs that collided under the old ((xi * 4096 + yi) * 64 + ti) * 2 + dir
   // scheme: a y overflow into the x field, and mixed-sign aliasing.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -157,6 +158,18 @@ TEST(PolicyTest, DeterministicForSeed) {
 TEST(PolicyTest, CloneProducesIdenticalOutputs) {
   IlPolicy policy(tiny_config(), 11);
   const auto clone = policy.clone();
+  // clone() builds its network without the seeded init, so every parameter
+  // must come from the copy, bit for bit.
+  const auto src = policy.network().params();
+  const auto dst = clone->network().params();
+  ASSERT_EQ(src.size(), dst.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    ASSERT_EQ(src[i]->value.shape(), dst[i]->value.shape()) << "param " << i;
+    EXPECT_EQ(std::memcmp(src[i]->value.data(), dst[i]->value.data(),
+                          src[i]->value.size() * sizeof(float)),
+              0)
+        << "param " << i;
+  }
   const auto bev = random_obs(16, 4);
   const Inference a = policy.infer(bev);
   const Inference b = clone->infer(bev);

@@ -244,6 +244,21 @@ TEST(MissionTest, ContestedLotForcesReplan) {
   EXPECT_NE(r.parked_bay, 4) << "the rival kept the stolen bay";
 }
 
+TEST(MissionTest, ContestedLotUnparkGoalClearOfTraffic) {
+  // Mission seed 9001 on contested_lot: the entrance-facing unpark goal
+  // overlaps the yielding traffic_opportunist, so the ego used to stall
+  // short of it until the leg timed out. It keeps the bay heading instead.
+  const auto controller = core::ControllerRegistry::instance().build("co");
+  Mission m(MissionRegistry::instance().at("contested_lot"), 9001);
+  const MissionResult r = m.run(*controller);
+  // A replanned leg was cut by the mission (its outcome reads kTimeout);
+  // every other leg must complete.
+  for (const LegResult& leg : r.legs)
+    if (leg.status != LegStatus::kReplanned)
+      EXPECT_EQ(leg.status, LegStatus::kCompleted) << to_string(leg.type);
+  EXPECT_TRUE(r.success);
+}
+
 TEST(MissionTest, BitIdenticalAcrossTaskPoolWidths) {
   const MissionFixture& f = fixture();
   EXPECT_EQ(f.quiet.fingerprint(), f.quiet_wide.fingerprint());

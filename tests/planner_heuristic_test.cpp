@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <queue>
 #include <random>
@@ -341,6 +342,127 @@ TEST(DijkstraCostMapTest, SeesDetourAroundWall) {
   EXPECT_GT(d, geom::distance(p, goal) + 5.0);
 }
 
+// ------------------------------------------------ DijkstraCostMap::shared
+
+/// Every input of one shared cost map.
+struct CostMapKey {
+  geom::Aabb bounds{{0.0, 0.0}, {20.0, 12.0}};
+  std::vector<geom::Obb> statics = {{{8.0, 6.0}, 0.3, 2.0, 1.0},
+                                    {{14.0, 3.0}, -0.7, 1.5, 0.8}};
+  double resolution = 0.4;
+  geom::Vec2 goal{17.0, 9.0};
+  double inflation = 1.0;
+
+  std::shared_ptr<const DijkstraCostMap> shared() const {
+    return DijkstraCostMap::shared(bounds, statics, resolution, goal,
+                                   inflation);
+  }
+  DijkstraCostMap fresh() const {
+    return DijkstraCostMap(world::DistanceField(bounds, statics, resolution),
+                           goal, inflation);
+  }
+};
+
+void expect_same_map(const DijkstraCostMap& a, const DijkstraCostMap& b) {
+  ASSERT_EQ(a.width(), b.width());
+  ASSERT_EQ(a.height(), b.height());
+  EXPECT_EQ(a.resolution(), b.resolution());
+  EXPECT_EQ(a.origin().x, b.origin().x);
+  EXPECT_EQ(a.origin().y, b.origin().y);
+  EXPECT_EQ(a.goal_reached(), b.goal_reached());
+  int mismatches = 0;
+  for (int iy = 0; iy < a.height(); ++iy)
+    for (int ix = 0; ix < a.width(); ++ix)
+      if (a.blocked(ix, iy) != b.blocked(ix, iy) ||
+          a.cell_cost(ix, iy) != b.cell_cost(ix, iy))
+        ++mismatches;
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(CostMapCacheTest, SharedMapMatchesFreshBuild) {
+  const CostMapKey key;
+  const auto map = key.shared();
+  ASSERT_NE(map, nullptr);
+  EXPECT_TRUE(map->goal_reached());
+  expect_same_map(*map, key.fresh());
+  EXPECT_EQ(key.shared(), map) << "a repeated key must hit its entry";
+  EXPECT_LE(DijkstraCostMap::shared_cache_size(),
+            DijkstraCostMap::kSharedCacheEntries);
+}
+
+TEST(CostMapCacheTest, EveryKeyComponentSelectsItsOwnEntry) {
+  const CostMapKey base;
+  const auto base_map = base.shared();
+  std::vector<std::pair<const char*, CostMapKey>> variants;
+  const auto add = [&](const char* what, auto&& edit) {
+    CostMapKey k = base;
+    edit(k);
+    variants.emplace_back(what, k);
+  };
+  add("obstacle centre x", [](CostMapKey& k) { k.statics[1].center.x += 0.01; });
+  add("obstacle centre y", [](CostMapKey& k) { k.statics[1].center.y += 0.01; });
+  add("obstacle heading", [](CostMapKey& k) { k.statics[1].heading += 1e-6; });
+  add("obstacle half length",
+      [](CostMapKey& k) { k.statics[1].half_length += 0.01; });
+  add("obstacle half width",
+      [](CostMapKey& k) { k.statics[1].half_width += 0.01; });
+  add("obstacle count", [](CostMapKey& k) { k.statics.pop_back(); });
+  add("goal x", [](CostMapKey& k) { k.goal.x += 0.01; });
+  add("goal y", [](CostMapKey& k) { k.goal.y += 0.01; });
+  add("bounds min", [](CostMapKey& k) { k.bounds.min.x -= 0.01; });
+  add("bounds max", [](CostMapKey& k) { k.bounds.max.y += 0.01; });
+  add("resolution", [](CostMapKey& k) { k.resolution = 0.5; });
+  add("inflation", [](CostMapKey& k) { k.inflation = 1.2; });
+  for (const auto& [what, key] : variants) {
+    const auto map = key.shared();
+    EXPECT_NE(map, base_map) << what;
+    expect_same_map(*map, key.fresh());
+  }
+  EXPECT_EQ(base.shared(), base_map);
+}
+
+TEST(CostMapCacheTest, EvictsLeastRecentlyUsedAndRebuildsEqual) {
+  CostMapKey first;
+  first.goal = {3.0, 3.0};
+  const auto evicted = first.shared();
+  // limit + 1 further keys push `first` out (it was used least recently).
+  for (std::size_t i = 0; i <= DijkstraCostMap::kSharedCacheEntries; ++i) {
+    CostMapKey k = first;
+    k.goal.x += 0.1 * static_cast<double>(i + 1);
+    (void)k.shared();
+    EXPECT_LE(DijkstraCostMap::shared_cache_size(),
+              DijkstraCostMap::kSharedCacheEntries);
+  }
+  const auto rebuilt = first.shared();
+  EXPECT_NE(rebuilt, evicted) << "the entry should have been evicted";
+  expect_same_map(*rebuilt, *evicted);  // the evicted map is still alive
+}
+
+TEST(CostMapCacheTest, ConcurrentLookupsAgree) {
+  std::vector<CostMapKey> keys(6);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i].goal = {4.0 + 2.0 * static_cast<double>(i), 10.0};
+    keys[i].inflation = 0.9;  // keys no earlier test has built
+  }
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::shared_ptr<const DijkstraCostMap>>> got(
+      kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the keys from its own offset.
+      for (std::size_t j = 0; j < keys.size(); ++j)
+        got[t].push_back(keys[(j + t) % keys.size()].shared());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  // Thread 0 saw key k at position k; thread t saw it at position j.
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t j = 0; j < keys.size(); ++j)
+      expect_same_map(*got[t][j], *got[0][(j + t) % keys.size()]);
+  for (const CostMapKey& key : keys) expect_same_map(*key.shared(), key.fresh());
+}
+
 // ------------------------------------------------------------- planner
 
 world::Scenario crowded_scenario(std::uint64_t seed) {
@@ -386,11 +508,44 @@ TEST(PlannerHeuristicTest, DeterministicAcrossRepeatedRuns) {
   }
 }
 
+TEST(PlannerHeuristicTest, CacheMissAndHitPlanAlike) {
+  const PlanProblem p = static_problem(crowded_scenario(305));
+  const HybridAStar astar(HybridAStarConfig{}, vehicle::VehicleParams{});
+  // Fill the cache with other keys so the first plan's lookup misses.
+  for (std::size_t i = 0; i < DijkstraCostMap::kSharedCacheEntries; ++i) {
+    CostMapKey k;
+    k.goal = {2.0 + 0.1 * static_cast<double>(i), 2.0};
+    (void)k.shared();
+  }
+  PlanStats miss_stats, hit_stats;
+  const auto miss = astar.plan(p.start, p.goal, p.obstacles, p.bounds,
+                               nullptr, &miss_stats);
+  const auto hit = astar.plan(p.start, p.goal, p.obstacles, p.bounds, nullptr,
+                              &hit_stats);
+  EXPECT_EQ(miss_stats.expansions, hit_stats.expansions);
+  EXPECT_EQ(miss_stats.nodes, hit_stats.nodes);
+  EXPECT_EQ(miss_stats.rs_shot_attempts, hit_stats.rs_shot_attempts);
+  EXPECT_EQ(miss_stats.heuristic_evals, hit_stats.heuristic_evals);
+  EXPECT_EQ(miss_stats.solved_by_shot, hit_stats.solved_by_shot);
+  EXPECT_EQ(miss_stats.solution_cost, hit_stats.solution_cost);
+  ASSERT_TRUE(miss.has_value());
+  ASSERT_TRUE(hit.has_value());
+  ASSERT_EQ(miss->size(), hit->size());
+  for (std::size_t i = 0; i < miss->size(); ++i) {
+    EXPECT_EQ((*miss)[i].pose.position.x, (*hit)[i].pose.position.x);
+    EXPECT_EQ((*miss)[i].pose.position.y, (*hit)[i].pose.position.y);
+    EXPECT_EQ((*miss)[i].pose.heading, (*hit)[i].pose.heading);
+    EXPECT_EQ((*miss)[i].direction, (*hit)[i].direction);
+    EXPECT_EQ((*miss)[i].s, (*hit)[i].s);
+  }
+}
+
 TEST(PlannerHeuristicTest, SuiteBitIdenticalAcrossThreadCounts) {
   // Suite-level determinism: CO episodes (which plan through hybrid A*)
-  // must be bit-identical across worker counts — the cost-to-go raster is
-  // per-plan, and the shared RS tables' entries fill with the same bits
-  // whichever thread reads them first.
+  // must be bit-identical across worker counts — a shared cost-to-go raster
+  // is a pure function of its key whichever thread builds it first, and the
+  // shared RS tables' entries fill with the same bits whichever thread
+  // reads them first.
   sim::ScenarioSuite suite;
   sim::SuiteCell crowded;
   crowded.generator = "crowded_lot";
